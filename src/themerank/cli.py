@@ -8,17 +8,17 @@ rankings, grid summaries and scatter data.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import config as cfgmod
 from . import corpus as corpusmod
-from .config import ConfigError, ExperimentGrid, GridCell, build_grid, build_pipeline, cell_config
+from .config import ConfigError, GridCell, build_grid, build_pipeline, cell_config
 from .metrics import MetricReport, evaluate_run
 from .ranking import PipelineConfig, PipelineError, classify_appeal, classify_corpus, prepare_themes, write_rankings
 
@@ -38,7 +38,7 @@ def _bool_flag(value: str) -> bool:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run-configuration file (YAML or JSON)")
-    parser.add_argument("--k", type=int, help="suggestion list length (default 6)")
+    parser.add_argument("--k", type=int, help=f"suggestion list length (default {PipelineConfig.k})")
     parser.add_argument(
         "--representation",
         choices=("fulltext", "lexrank", "guided_lexrank"),
@@ -60,7 +60,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
-        "--parallel", type=int, default=1, help="worker processes over appeals (default 1)"
+        "--parallel", type=int, default=1, help="worker processes over appeals (default %(default)s)"
     )
 
 
@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="sweep the experiment grid from the config file")
     p_grid.add_argument("--appeals", required=True)
     p_grid.add_argument("--themes", required=True)
-    p_grid.add_argument(
-        "--cell-parallel", type=int, default=1, help="cells run concurrently (default 1)"
-    )
     _add_common_flags(p_grid)
     p_grid.set_defaults(func=cmd_grid)
 
@@ -105,18 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merged_config(args) -> dict:
-    loaded = cfgmod.load_run_config(getattr(args, "config", None))
-    overrides = {
-        "k": getattr(args, "k", None),
-        "representation": getattr(args, "representation", None),
-        "summary_size": getattr(args, "summary_size", None),
-        "alpha": getattr(args, "alpha", None),
-        "beta": getattr(args, "beta", None),
-        "similarity": getattr(args, "similarity", None),
-        "remove_terms": getattr(args, "remove_terms", None),
-        "embeddings": getattr(args, "embeddings", None),
-    }
-    return cfgmod.apply_overrides(loaded, overrides)
+    overrides = {name: getattr(args, name, None) for name in cfgmod.OVERRIDE_PATHS}
+    return cfgmod.apply_overrides(cfgmod.load_run_config(args.config), overrides)
 
 
 def _load_appeals(args, merged: dict):
@@ -124,9 +111,9 @@ def _load_appeals(args, merged: dict):
     return corpusmod.load_appeals(
         args.appeals,
         delimiter=merged["delimiter"],
-        id_col=columns.get("id", "id"),
-        text_col=columns.get("text", "text"),
-        theme_col=columns.get("theme", "theme"),
+        id_col=columns["id"],
+        text_col=columns["text"],
+        theme_col=columns["theme"],
     )
 
 
@@ -135,38 +122,36 @@ def _load_themes(args, merged: dict):
     return corpusmod.load_themes(
         args.themes,
         delimiter=merged["delimiter"],
-        id_col=columns.get("id", "id"),
-        text_col=columns.get("text", "text"),
+        id_col=columns["id"],
+        text_col=columns["text"],
     )
 
 
-def _pipeline_descriptor(pipeline: PipelineConfig) -> str:
-    size = pipeline.summary.size if pipeline.representation != "fulltext" else "na"
-    preprocess = "remove" if pipeline.preprocess.remove_terms else "keep"
-    return (
-        f"preprocess={preprocess},representation={pipeline.representation},"
-        f"size={size},similarity={pipeline.similarity_method}"
-    )
+def _outdir(args) -> Path | None:
+    """The --out directory, created before any work so a bad path fails fast."""
+    if not args.out:
+        return None
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
-def _report_document(report: MetricReport, failures: int, extra: dict | None = None) -> dict:
-    document = report.as_dict()
-    document["failures"] = failures
-    document["preprocess_order"] = PREPROCESS_ORDER
-    if extra:
-        document.update(extra)
-    return document
-
-
-def _write_atomic(path: Path, content: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
+def _write_atomic(path: Path, write) -> None:
+    """Run ``write`` on a sibling temporary path, then rename it over ``path``,
+    so a reader never sees a partial file."""
+    tmp = path.with_name(path.name + ".tmp")
+    write(tmp)
     os.replace(tmp, path)
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write_atomic(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
 
 
 def cmd_classify(args) -> int:
     merged = _merged_config(args)
     pipeline = build_pipeline(merged)
+    outdir = _outdir(args)
     catalog = _load_themes(args, merged)
 
     if args.text is not None:
@@ -190,32 +175,50 @@ def cmd_classify(args) -> int:
         for position, (theme_id, score) in enumerate(ranked.entries, start=1):
             print(f"{position:>4}  {theme_id:<16}  {score:.6f}")
 
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir is not None:
         gold = corpusmod.gold_labels(appeals, catalog)
-        write_rankings(outdir / "rankings.csv", results, gold)
+        _write_atomic(outdir / "rankings.csv", lambda tmp: write_rankings(tmp, results, gold))
         print(f"wrote {outdir / 'rankings.csv'}", file=sys.stderr)
     return 0
 
 
-def _evaluate_once(
-    appeals, catalog, pipeline: PipelineConfig, k: int, parallel: int
-) -> tuple[MetricReport, list, list[str]]:
+def _evaluate(
+    appeals,
+    catalog,
+    pipeline: PipelineConfig,
+    parallel: int,
+    label: dict,
+    outdir: Path | None,
+    suffix: str = "",
+) -> tuple[MetricReport, dict, list[str]]:
+    """Classify and score one configuration: evaluate and every grid cell.
+
+    ``label`` names the configuration in the metrics document. With an
+    ``outdir``, ``rankings{suffix}.csv`` and ``metrics{suffix}.json`` are
+    written there. Returns (report, metrics document, failure messages).
+    """
     results, failures = classify_corpus(appeals, catalog, pipeline, parallel=parallel)
     gold = corpusmod.gold_labels(appeals, catalog)
-    report = evaluate_run(results, gold, k)
-    return report, results, failures
+    report = evaluate_run(results, gold, pipeline.k)
+    document = report.as_dict()
+    document.update(failures=len(failures), preprocess_order=PREPROCESS_ORDER, **label)
+    if outdir is not None:
+        _write_atomic(outdir / f"rankings{suffix}.csv", lambda tmp: write_rankings(tmp, results, gold))
+        _write_text(outdir / f"metrics{suffix}.json", json.dumps(document, sort_keys=True) + "\n")
+    return report, document, failures
 
 
 def cmd_evaluate(args) -> int:
     merged = _merged_config(args)
     pipeline = build_pipeline(merged)
+    outdir = _outdir(args)
     catalog = _load_themes(args, merged)
     appeals = _load_appeals(args, merged)
 
     started = time.perf_counter()
-    report, results, failures = _evaluate_once(appeals, catalog, pipeline, pipeline.k, args.parallel)
+    report, document, failures = _evaluate(
+        appeals, catalog, pipeline, args.parallel, {"config": GridCell.of(pipeline).descriptor}, outdir
+    )
     elapsed = time.perf_counter() - started
     print(
         f"evaluated {report.query_count} appeals "
@@ -224,16 +227,7 @@ def cmd_evaluate(args) -> int:
     )
     for failure in failures:
         print(f"failure: {failure}", file=sys.stderr)
-
-    document = _report_document(report, len(failures), {"config": _pipeline_descriptor(pipeline)})
     print(json.dumps(document, sort_keys=True))
-
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        gold = corpusmod.gold_labels(appeals, catalog)
-        write_rankings(outdir / "rankings.csv", results, gold)
-        _write_atomic(outdir / "metrics.json", json.dumps(document, sort_keys=True) + "\n")
     return 0
 
 
@@ -241,29 +235,26 @@ def _slug(descriptor: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in descriptor)
 
 
-def _run_cell(cell: GridCell, appeals, catalog, base: PipelineConfig, args, outdir: Path | None):
+def _run_cell(cell: GridCell, appeals, catalog, base: PipelineConfig, parallel: int, outdir: Path | None):
+    """One grid cell; a cell that cannot be evaluated is reported and the grid goes on."""
     started = time.perf_counter()
     try:
-        pipeline = cell_config(base, cell)
-        report, results, failures = _evaluate_once(
-            appeals, catalog, pipeline, pipeline.k, args.parallel
+        report, _, failures = _evaluate(
+            appeals,
+            catalog,
+            cell_config(base, cell),
+            parallel,
+            {"cell": cell.descriptor},
+            outdir,
+            f"_{_slug(cell.descriptor)}",
         )
-    except (ValueError, PipelineError) as exc:
+    except ValueError as exc:
         seconds = time.perf_counter() - started
         print(f"cell {cell.descriptor}: FAILED after {seconds:.1f}s: {exc}", file=sys.stderr)
-        return cell, None, 0, seconds
+        return None, 0, seconds
     seconds = time.perf_counter() - started
-    if outdir is not None:
-        gold = corpusmod.gold_labels(appeals, catalog)
-        slug = _slug(cell.descriptor)
-        rankings_path = outdir / f"rankings_{slug}.csv"
-        tmp_path = rankings_path.with_suffix(".csv.tmp")
-        write_rankings(tmp_path, results, gold)
-        os.replace(tmp_path, rankings_path)
-        document = _report_document(report, len(failures), {"cell": cell.descriptor})
-        _write_atomic(outdir / f"metrics_{slug}.json", json.dumps(document, sort_keys=True) + "\n")
     print(f"cell {cell.descriptor}: done in {seconds:.1f}s", file=sys.stderr)
-    return cell, report, len(failures), seconds
+    return report, len(failures), seconds
 
 
 GRID_SUMMARY_HEADER = (
@@ -282,102 +273,47 @@ GRID_SUMMARY_HEADER = (
     "failures",
     "seconds",
 )
+SCATTER_HEADER = ("cell", "recall_at_k", "map_at_k", "ndcg_at_k")
 
 
-@dataclass(frozen=True)
-class GridReport:
-    """One (descriptor, metrics, wall-clock seconds) row per executed cell.
-
-    Metrics are None for cells that failed; descriptors must be unique.
-    """
-
-    rows: tuple[tuple[str, MetricReport | None, float], ...]
-
-    def __post_init__(self):
-        descriptors = [descriptor for descriptor, _, _ in self.rows]
-        if len(set(descriptors)) != len(descriptors):
-            raise ValueError("grid cell descriptors must be unique")
+def _csv_text(rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def cmd_grid(args) -> int:
     merged = _merged_config(args)
     base = build_pipeline(merged)
-    grid: ExperimentGrid = build_grid(merged)
+    grid = build_grid(merged)
+    outdir = _outdir(args)
     catalog = _load_themes(args, merged)
     appeals = _load_appeals(args, merged)
 
-    outdir = Path(args.out) if args.out else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
-
     cells = list(grid.cells())
     print(f"grid: {len(cells)} cells over {len(appeals)} appeals", file=sys.stderr)
-    if args.cell_parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.cell_parallel) as pool:
-            rows = list(
-                pool.map(lambda c: _run_cell(c, appeals, catalog, base, args, outdir), cells)
-            )
-    else:
-        rows = [_run_cell(cell, appeals, catalog, base, args, outdir) for cell in cells]
+    summary, scatter = [GRID_SUMMARY_HEADER], [SCATTER_HEADER]
+    for cell in cells:
+        report, failures, seconds = _run_cell(cell, appeals, catalog, base, args.parallel, outdir)
+        metrics = [""] * 7  # a failed cell keeps its row with empty metric fields
+        if report is not None:
+            metrics = [
+                report.recall_at_k,
+                report.precision_at_k,
+                report.map_at_k,
+                report.f1,
+                report.ndcg_at_k,
+                report.query_count,
+                report.skipped,
+            ]
+            scatter.append([cell.descriptor, report.recall_at_k, report.map_at_k, report.ndcg_at_k])
+        summary.append([cell.descriptor, *cell.fields(), *metrics, failures, f"{seconds:.3f}"])
 
-    GridReport(rows=tuple((cell.descriptor, report, seconds) for cell, report, _, seconds in rows))
-
-    summary_lines = [",".join(GRID_SUMMARY_HEADER)]
-    scatter_lines = ["cell,recall_at_k,map_at_k,ndcg_at_k"]
-    for cell, report, failures, seconds in rows:
-        if report is None:
-            # failed cell stays in the summary with empty metric fields
-            summary_lines.append(
-                ",".join(
-                    [
-                        f'"{cell.descriptor}"',
-                        "remove" if cell.remove_terms else "keep",
-                        cell.representation,
-                        str(cell.summary_size) if cell.summary_size is not None else "na",
-                        cell.similarity_method,
-                        "", "", "", "", "", "", "",
-                        str(failures),
-                        f"{seconds:.3f}",
-                    ]
-                )
-            )
-            continue
-        summary_lines.append(
-            ",".join(
-                [
-                    f'"{cell.descriptor}"',
-                    "remove" if cell.remove_terms else "keep",
-                    cell.representation,
-                    str(cell.summary_size) if cell.summary_size is not None else "na",
-                    cell.similarity_method,
-                    repr(report.recall_at_k),
-                    repr(report.precision_at_k),
-                    repr(report.map_at_k),
-                    repr(report.f1),
-                    repr(report.ndcg_at_k),
-                    str(report.query_count),
-                    str(report.skipped),
-                    str(failures),
-                    f"{seconds:.3f}",
-                ]
-            )
-        )
-        scatter_lines.append(
-            ",".join(
-                [
-                    f'"{cell.descriptor}"',
-                    repr(report.recall_at_k),
-                    repr(report.map_at_k),
-                    repr(report.ndcg_at_k),
-                ]
-            )
-        )
-
-    summary_text = "\n".join(summary_lines) + "\n"
+    summary_text = _csv_text(summary)
     print(summary_text, end="")
     if outdir is not None:
-        _write_atomic(outdir / "grid_summary.csv", summary_text)
-        _write_atomic(outdir / "scatter.csv", "\n".join(scatter_lines) + "\n")
+        _write_text(outdir / "grid_summary.csv", summary_text)
+        _write_text(outdir / "scatter.csv", _csv_text(scatter))
         print(f"wrote {outdir / 'grid_summary.csv'} and {outdir / 'scatter.csv'}", file=sys.stderr)
     return 0
 
@@ -407,17 +343,11 @@ def cmd_stats(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, corpusmod.CorpusError, PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError, csv.Error) as exc:
+        # every load, config and I/O failure: one line and exit 1, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

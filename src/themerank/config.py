@@ -7,14 +7,14 @@ empty config is valid. Command-line flags always win over file values.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
 import yaml
 
 from .bm25 import Bm25Params
 from .lexrank import SummaryConfig
-from .ranking import REPRESENTATIONS, SIMILARITY_METHODS, TFIDF_FALLBACK, PipelineConfig
+from .ranking import REPRESENTATIONS, SIMILARITY_METHODS, TFIDF_FALLBACK, PipelineConfig, summary_mode
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
     PreprocessConfig,
@@ -29,44 +29,60 @@ class ConfigError(ValueError):
     """Raised for unreadable or inconsistent run configuration."""
 
 
+_PREPROCESS_NAMES = {"remove": True, "keep": False, True: True, False: False}
+
+# Scalar defaults are the dataclass defaults, so each value is written once.
 DEFAULT_CONFIG: dict[str, Any] = {
     "delimiter": ",",
     "appeal_columns": {"id": "id", "text": "text", "theme": "theme"},
     "theme_columns": {"id": "id", "text": "text"},
     "preprocess": {
-        "remove_terms": True,
+        "remove_terms": PreprocessConfig.remove_terms,
         "stopwords": None,
         "removal_patterns": None,
         "core_start_markers": [],
         "core_end_markers": [],
         "abbreviations": None,
     },
-    "representation": "guided_lexrank",
+    "representation": PipelineConfig.representation,
     "summary": {
-        "size": 15,
-        "alpha": 1.0,
-        "beta": 1.0,
-        "centrality": "degree",
-        "threshold": 0.1,
-        "damping": 0.85,
-        "tolerance": 1e-8,
-        "max_iterations": 1000,
+        "size": SummaryConfig.size,
+        "alpha": SummaryConfig.alpha,
+        "beta": SummaryConfig.beta,
+        "centrality": SummaryConfig.centrality_variant,
+        "threshold": SummaryConfig.threshold,
+        "damping": SummaryConfig.damping,
+        "tolerance": SummaryConfig.tolerance,
+        "max_iterations": SummaryConfig.max_iterations,
     },
     "bm25": {
-        "k1": 1.5,
-        "b": 0.75,
-        "idf_variant": "nonnegative",
-        "epsilon": 0.25,
+        "k1": Bm25Params.k1,
+        "b": Bm25Params.b,
+        "idf_variant": Bm25Params.idf_variant,
+        "epsilon": Bm25Params.epsilon,
     },
-    "similarity": "bm25",
-    "k": 6,
-    "embeddings": None,
+    "similarity": PipelineConfig.similarity_method,
+    "k": PipelineConfig.k,
+    "embeddings": PipelineConfig.embedding_source,
     "grid": {
-        "preprocess": ["remove"],
-        "representations": ["guided_lexrank"],
-        "summary_sizes": [15],
-        "similarity_methods": ["bm25"],
+        "preprocess": [PreprocessConfig.remove_terms],
+        "representations": [PipelineConfig.representation],
+        "summary_sizes": [SummaryConfig.size],
+        "similarity_methods": [PipelineConfig.similarity_method],
     },
+}
+
+# Flag name -> key path in the run config; the flags apply_overrides accepts.
+OVERRIDE_PATHS: dict[str, tuple[str, ...]] = {
+    "k": ("k",),
+    "representation": ("representation",),
+    "summary_size": ("summary", "size"),
+    "alpha": ("summary", "alpha"),
+    "beta": ("summary", "beta"),
+    "similarity": ("similarity",),
+    "remove_terms": ("preprocess", "remove_terms"),
+    "embeddings": ("embeddings",),
+    "delimiter": ("delimiter",),
 }
 
 
@@ -101,22 +117,11 @@ def load_run_config(path: str | None = None) -> dict[str, Any]:
 def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
     """Overlay non-None flag values onto a loaded config; flags win."""
     config = copy.deepcopy(config)
-    paths = {
-        "k": ("k",),
-        "representation": ("representation",),
-        "summary_size": ("summary", "size"),
-        "alpha": ("summary", "alpha"),
-        "beta": ("summary", "beta"),
-        "similarity": ("similarity",),
-        "remove_terms": ("preprocess", "remove_terms"),
-        "embeddings": ("embeddings",),
-        "delimiter": ("delimiter",),
-    }
     for name, value in overrides.items():
         if value is None:
             continue
         node = config
-        *parents, leaf = paths[name]
+        *parents, leaf = OVERRIDE_PATHS[name]
         for parent in parents:
             node = node.setdefault(parent, {})
         node[leaf] = value
@@ -124,11 +129,11 @@ def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[s
 
 
 def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
-    section = config.get("preprocess", {})
-    stopword_path = section.get("stopwords")
+    section = config["preprocess"]
+    stopword_path = section["stopwords"]
     stopwords = load_stopwords(stopword_path) if stopword_path else default_stopwords()
 
-    raw_patterns = section.get("removal_patterns")
+    raw_patterns = section["removal_patterns"]
     if raw_patterns is None:
         patterns = default_removal_rules()
     else:
@@ -146,57 +151,55 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
                 raise ConfigError(str(exc)) from exc
         patterns = tuple(patterns)
 
-    abbreviations = section.get("abbreviations")
+    abbreviations = section["abbreviations"]
     return PreprocessConfig(
-        remove_terms=bool(section.get("remove_terms", True)),
+        remove_terms=bool(section["remove_terms"]),
         stopwords=stopwords,
         removal_patterns=patterns,
-        core_start_markers=tuple(section.get("core_start_markers") or ()),
-        core_end_markers=tuple(section.get("core_end_markers") or ()),
+        core_start_markers=tuple(section["core_start_markers"] or ()),
+        core_end_markers=tuple(section["core_end_markers"] or ()),
         abbreviations=(
             frozenset(abbreviations) if abbreviations is not None else DEFAULT_ABBREVIATIONS
         ),
     )
 
 
+def _embedding_source(similarity: str, embeddings: str | None) -> str | None:
+    """Cosine scoring without an embedding file uses the built-in tf-idf vectors."""
+    return TFIDF_FALLBACK if similarity == "cosine" and embeddings is None else embeddings
+
+
 def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
-    """Materialize a validated PipelineConfig from a merged config dict."""
-    summary_section = config.get("summary", {})
-    bm25_section = config.get("bm25", {})
-    similarity = config.get("similarity", "bm25")
-    embeddings = config.get("embeddings")
-    if similarity == "cosine" and embeddings is None:
-        embeddings = TFIDF_FALLBACK
+    """Materialize a validated PipelineConfig from a config merged over DEFAULT_CONFIG."""
+    summary = config["summary"]
+    bm25 = config["bm25"]
     try:
         return PipelineConfig(
             preprocess=build_preprocess(config),
-            representation=config.get("representation", "guided_lexrank"),
+            representation=config["representation"],
             summary=SummaryConfig(
-                mode="guided",
-                size=int(summary_section.get("size", 15)),
-                alpha=float(summary_section.get("alpha", 1.0)),
-                beta=float(summary_section.get("beta", 1.0)),
-                centrality_variant=summary_section.get("centrality", "degree"),
-                threshold=float(summary_section.get("threshold", 0.1)),
-                damping=float(summary_section.get("damping", 0.85)),
-                tolerance=float(summary_section.get("tolerance", 1e-8)),
-                max_iterations=int(summary_section.get("max_iterations", 1000)),
+                mode=summary_mode(config["representation"]),
+                size=int(summary["size"]),
+                alpha=float(summary["alpha"]),
+                beta=float(summary["beta"]),
+                centrality_variant=summary["centrality"],
+                threshold=float(summary["threshold"]),
+                damping=float(summary["damping"]),
+                tolerance=float(summary["tolerance"]),
+                max_iterations=int(summary["max_iterations"]),
             ),
-            similarity_method=similarity,
+            similarity_method=config["similarity"],
             bm25=Bm25Params(
-                k1=float(bm25_section.get("k1", 1.5)),
-                b=float(bm25_section.get("b", 0.75)),
-                idf_variant=bm25_section.get("idf_variant", "nonnegative"),
-                epsilon=float(bm25_section.get("epsilon", 0.25)),
+                k1=float(bm25["k1"]),
+                b=float(bm25["b"]),
+                idf_variant=bm25["idf_variant"],
+                epsilon=float(bm25["epsilon"]),
             ),
-            k=int(config.get("k", 6)),
-            embedding_source=embeddings,
+            k=int(config["k"]),
+            embedding_source=_embedding_source(config["similarity"], config["embeddings"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-_PREPROCESS_NAMES = {"remove": True, "keep": False, True: True, False: False}
 
 
 @dataclass(frozen=True)
@@ -208,13 +211,32 @@ class GridCell:
     summary_size: int | None
     similarity_method: str
 
+    @classmethod
+    def of(cls, pipeline: PipelineConfig) -> "GridCell":
+        """The cell a standalone pipeline config occupies."""
+        size = None if pipeline.representation == "fulltext" else pipeline.summary.size
+        return cls(
+            pipeline.preprocess.remove_terms,
+            pipeline.representation,
+            size,
+            pipeline.similarity_method,
+        )
+
+    def fields(self) -> tuple[str, str, str, str]:
+        """Preprocess, representation, size and similarity as report fields."""
+        return (
+            "remove" if self.remove_terms else "keep",
+            self.representation,
+            "na" if self.summary_size is None else str(self.summary_size),
+            self.similarity_method,
+        )
+
     @property
     def descriptor(self) -> str:
-        size = self.summary_size if self.summary_size is not None else "na"
-        preprocess = "remove" if self.remove_terms else "keep"
+        preprocess, representation, size, similarity = self.fields()
         return (
-            f"preprocess={preprocess},representation={self.representation},"
-            f"size={size},similarity={self.similarity_method}"
+            f"preprocess={preprocess},representation={representation},"
+            f"size={size},similarity={similarity}"
         )
 
 
@@ -228,7 +250,8 @@ class ExperimentGrid:
     similarity_methods: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("preprocess_options", "representations", "summary_sizes", "similarity_methods"):
+        axes = ("preprocess_options", "representations", "summary_sizes", "similarity_methods")
+        for name in axes:
             if not getattr(self, name):
                 raise ConfigError(f"grid axis {name!r} must be non-empty")
         for rep in self.representations:
@@ -240,6 +263,12 @@ class ExperimentGrid:
         for size in self.summary_sizes:
             if size < 1:
                 raise ConfigError(f"summary sizes must be positive, got {size}")
+        # distinct axis values are exactly what makes every cell, and so every
+        # output file name, unique; checked before any cell runs
+        for name in axes:
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"grid axis {name!r} repeats a value: {list(values)}")
 
     def cells(self) -> Iterator[GridCell]:
         """Cells in declared order; fulltext yields once per (preprocess, method)."""
@@ -252,36 +281,33 @@ class ExperimentGrid:
 
 
 def build_grid(config: dict[str, Any]) -> ExperimentGrid:
-    section = config.get("grid", {})
+    section = config["grid"]
     options = []
-    for value in section.get("preprocess", ["remove"]):
+    for value in section["preprocess"]:
         if value not in _PREPROCESS_NAMES:
             raise ConfigError(f"grid preprocess values must be 'remove' or 'keep', got {value!r}")
         options.append(_PREPROCESS_NAMES[value])
     return ExperimentGrid(
         preprocess_options=tuple(options),
-        representations=tuple(section.get("representations", ["guided_lexrank"])),
-        summary_sizes=tuple(int(s) for s in section.get("summary_sizes", [15])),
-        similarity_methods=tuple(section.get("similarity_methods", ["bm25"])),
+        representations=tuple(section["representations"]),
+        summary_sizes=tuple(int(s) for s in section["summary_sizes"]),
+        similarity_methods=tuple(section["similarity_methods"]),
     )
 
 
 def cell_config(base: PipelineConfig, cell: GridCell) -> PipelineConfig:
-    """Specialize a base pipeline config to one grid cell."""
-    from dataclasses import replace
+    """Specialize a base pipeline config to one grid cell.
 
-    preprocess = replace(base.preprocess, remove_terms=cell.remove_terms)
+    PipelineConfig derives the summary mode from the cell's representation.
+    """
     summary = base.summary
     if cell.summary_size is not None:
         summary = replace(summary, size=cell.summary_size)
-    embedding_source = base.embedding_source
-    if cell.similarity_method == "cosine" and embedding_source is None:
-        embedding_source = TFIDF_FALLBACK
     return replace(
         base,
-        preprocess=preprocess,
+        preprocess=replace(base.preprocess, remove_terms=cell.remove_terms),
         representation=cell.representation,
         summary=summary,
         similarity_method=cell.similarity_method,
-        embedding_source=embedding_source,
+        embedding_source=_embedding_source(cell.similarity_method, base.embedding_source),
     )

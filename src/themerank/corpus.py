@@ -1,8 +1,8 @@
 """Loading, validation and description of the appeal and theme corpora.
 
-Both corpora live in delimited UTF-8 text files with a header row; the
-column mapping and delimiter are configurable. Loaded corpora are immutable
-and safe to share across workers.
+Both corpora live in delimited UTF-8 text files with a header row, with or
+without a byte-order mark; the column mapping and delimiter are
+configurable. Loaded corpora are immutable and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -73,12 +73,9 @@ class StatsReport:
     max_words: int
 
 
-def _open_reader(path: str | Path, delimiter: str):
-    path = Path(path)
-    if not path.is_file():
-        raise FileNotFoundError(f"corpus file not found: {path}")
-    handle = open(path, encoding="utf-8", newline="")
-    return handle, csv.reader(handle, delimiter=delimiter)
+# csv's default field limit (131,072 chars) is below the longest published
+# appeals. The limit is process-global; 2**31 - 1 fits a 32-bit C long.
+_FIELD_SIZE_LIMIT = 2**31 - 1
 
 
 def _column_index(header: list[str], name: str, path: str | Path) -> int:
@@ -86,6 +83,53 @@ def _column_index(header: list[str], name: str, path: str | Path) -> int:
         return header.index(name)
     except ValueError:
         raise CorpusError(f"{path}: missing column {name!r} in header {header}") from None
+
+
+def _read_records(
+    path: str | Path, delimiter: str, id_col: str, text_col: str, label_col: str | None = None
+) -> list[tuple[str, str, str | None]]:
+    """(id, text, label) per non-blank data row of a delimited file with a header.
+
+    A UTF-8 byte-order mark is skipped. Rows with too few fields, empty ids,
+    duplicate ids or blank text are errors reported with their row number.
+    The label column is optional: absent from the header, every label is None.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise FileNotFoundError(f"corpus file not found: {path}")
+    csv.field_size_limit(_FIELD_SIZE_LIMIT)
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise CorpusError(f"{path}: empty file, expected a header row")
+        id_idx = _column_index(header, id_col, path)
+        text_idx = _column_index(header, text_col, path)
+        label_idx = header.index(label_col) if label_col and label_col in header else None
+
+        records: list[tuple[str, str, str | None]] = []
+        seen: set[str] = set()
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            try:
+                doc_id = row[id_idx].strip()
+                text = row[text_idx]
+            except IndexError:
+                raise CorpusError(f"{path}: row {line}: too few fields") from None
+            if not doc_id:
+                raise CorpusError(f"{path}: row {line}: empty id")
+            if doc_id in seen:
+                raise CorpusError(f"{path}: row {line}: duplicate id {doc_id!r}")
+            if not text.strip():
+                raise CorpusError(f"{path}: row {line}: empty text for id {doc_id!r}")
+            seen.add(doc_id)
+            label = None
+            if label_idx is not None and label_idx < len(row):
+                label = row[label_idx].strip() or None
+            records.append((doc_id, text, label))
+    return records
 
 
 def load_appeals(
@@ -102,38 +146,8 @@ def load_appeals(
     records load unlabeled. Duplicate ids and empty text fields are errors
     reported with their row number.
     """
-    handle, reader = _open_reader(path, delimiter)
-    with handle:
-        header = next(reader, None)
-        if header is None:
-            raise CorpusError(f"{path}: empty file, expected a header row")
-        id_idx = _column_index(header, id_col, path)
-        text_idx = _column_index(header, text_col, path)
-        theme_idx = header.index(theme_col) if theme_col and theme_col in header else None
-
-        records: list[AppealRecord] = []
-        seen: set[str] = set()
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            try:
-                doc_id = row[id_idx].strip()
-                text = row[text_idx]
-            except IndexError:
-                raise CorpusError(f"{path}: row {line}: too few fields") from None
-            if not doc_id:
-                raise CorpusError(f"{path}: row {line}: empty id")
-            if doc_id in seen:
-                raise CorpusError(f"{path}: row {line}: duplicate id {doc_id!r}")
-            if not text.split():
-                raise CorpusError(f"{path}: row {line}: empty text for id {doc_id!r}")
-            seen.add(doc_id)
-            label = None
-            if theme_idx is not None and theme_idx < len(row):
-                label = row[theme_idx].strip() or None
-            records.append(AppealRecord(doc_id, text, label))
-    return records
+    rows = _read_records(path, delimiter, id_col, text_col, theme_col)
+    return [AppealRecord(doc_id, text, label) for doc_id, text, label in rows]
 
 
 def load_themes(
@@ -144,34 +158,19 @@ def load_themes(
     text_col: str = "text",
 ) -> ThemeCatalog:
     """Load the theme catalog, preserving file order and enforcing unique ids."""
-    handle, reader = _open_reader(path, delimiter)
-    with handle:
-        header = next(reader, None)
-        if header is None:
-            raise CorpusError(f"{path}: empty file, expected a header row")
-        id_idx = _column_index(header, id_col, path)
-        text_idx = _column_index(header, text_col, path)
+    rows = _read_records(path, delimiter, id_col, text_col)
+    return ThemeCatalog(ThemeRecord(theme_id, text) for theme_id, text, _ in rows)
 
-        themes: list[ThemeRecord] = []
-        seen: set[str] = set()
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            try:
-                theme_id = row[id_idx].strip()
-                text = row[text_idx]
-            except IndexError:
-                raise CorpusError(f"{path}: row {line}: too few fields") from None
-            if not theme_id:
-                raise CorpusError(f"{path}: row {line}: empty id")
-            if theme_id in seen:
-                raise CorpusError(f"{path}: row {line}: duplicate theme id {theme_id!r}")
-            if not text.split():
-                raise CorpusError(f"{path}: row {line}: empty text for theme {theme_id!r}")
-            seen.add(theme_id)
-            themes.append(ThemeRecord(theme_id, text))
-    return ThemeCatalog(themes)
+
+def _write_records(path: str | Path, delimiter: str, rows: Iterable[list[str]]) -> None:
+    """Write the header and data rows in the format _read_records accepts."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        minimal = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        # csv quotes a field only for the characters of its line terminator,
+        # so a lone "\r" would end the row on reading; quote such rows whole
+        quoted = csv.writer(handle, delimiter=delimiter, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if any("\r" in field for field in row) else minimal).writerow(row)
 
 
 def write_appeals(
@@ -184,11 +183,8 @@ def write_appeals(
     theme_col: str = "theme",
 ) -> None:
     """Write appeals back to the delimited format accepted by load_appeals."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow([id_col, text_col, theme_col])
-        for record in appeals:
-            writer.writerow([record.id, record.raw_text, record.label_theme_id or ""])
+    rows = ([a.id, a.raw_text, a.label_theme_id or ""] for a in appeals)
+    _write_records(path, delimiter, [[id_col, text_col, theme_col], *rows])
 
 
 def write_themes(
@@ -200,11 +196,8 @@ def write_themes(
     text_col: str = "text",
 ) -> None:
     """Write a theme catalog back to the delimited format accepted by load_themes."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        writer.writerow([id_col, text_col])
-        for theme in themes:
-            writer.writerow([theme.id, theme.text])
+    rows = ([t.id, t.text] for t in themes)
+    _write_records(path, delimiter, [[id_col, text_col], *rows])
 
 
 def unresolvable_labels(appeals: Iterable[AppealRecord], catalog: ThemeCatalog) -> list[str]:

@@ -30,6 +30,11 @@ class PipelineError(ValueError):
     """Raised when one appeal cannot be classified under the given config."""
 
 
+def summary_mode(representation: str) -> str:
+    """The summarizer mode a representation runs: only guided_lexrank uses theme guidance."""
+    return "guided" if representation == "guided_lexrank" else "plain"
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything one classification run depends on."""
@@ -59,6 +64,11 @@ class PipelineConfig:
                 "cosine similarity requires an embedding_source "
                 f"(a file path or {TFIDF_FALLBACK!r})"
             )
+        mode = summary_mode(self.representation)
+        if self.summary.mode != mode:
+            # the representation decides the mode; a summary config written
+            # for another representation is rebased onto it here
+            object.__setattr__(self, "summary", replace(self.summary, mode=mode))
 
 
 @dataclass(frozen=True)
@@ -105,12 +115,10 @@ def _representation_tokens(
         return tokenize(cleaned)
 
     sentences = segment_sentences(cleaned, config.preprocess.abbreviations)
-    mode = "guided" if config.representation == "guided_lexrank" else "plain"
-    summary_config = replace(config.summary, mode=mode)
     summary = summarize(
         sentences,
-        summary_config,
-        theme_index=prepared.index if mode == "guided" else None,
+        config.summary,
+        theme_index=prepared.index if config.summary.mode == "guided" else None,
     )
     return tokenize(summary.text)
 

@@ -2,9 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
-
-import pytest
 
 from themerank.cli import main
 
@@ -354,38 +353,6 @@ class TestGrid:
         assert len(rows) == 1 + 2  # failed cells keep their summary rows
         assert all(row[5] == "" for row in rows[1:])
 
-    def test_cell_parallel_matches_sequential(
-        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
-    ):
-        config = self.grid_config(
-            tmp_path,
-            "grid:\n"
-            "  preprocess: [remove, keep]\n"
-            "  representations: [lexrank]\n"
-            "  summary_sizes: [1, 2]\n"
-            "  similarity_methods: [bm25]\n",
-        )
-        out_seq, out_par = tmp_path / "seq", tmp_path / "par"
-        for outdir, flags in ((out_seq, []), (out_par, ["--cell-parallel", "2"])):
-            run_cli(
-                capsys,
-                "grid",
-                "--appeals",
-                str(tiny_appeals_file),
-                "--themes",
-                str(tiny_themes_file),
-                "--config",
-                str(config),
-                "--out",
-                str(outdir),
-                *flags,
-            )
-        def rows_without_timing(outdir):
-            rows = list(csv.reader(open(outdir / "grid_summary.csv", encoding="utf-8")))
-            return [row[:-1] for row in rows]
-
-        assert rows_without_timing(out_seq) == rows_without_timing(out_par)
-
     def test_per_cell_rankings_files_written(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
     ):
@@ -456,6 +423,71 @@ class TestGrid:
         assert by_descriptor(out_a) == by_descriptor(out_b)
 
 
+    def test_summary_and_scatter_bytes(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
+        # the embedding file holds themes only: the bm25 cell succeeds, every
+        # appeal fails under cosine, so that cell fails with empty metrics
+        embeddings = tmp_path / "themes.tsv"
+        embeddings.write_text("id\t2\nT1\t1.0,0.0\nT2\t0.0,1.0\nT3\t0.5,0.5\n", encoding="utf-8")
+        config = self.grid_config(
+            tmp_path,
+            f"embeddings: {embeddings}\n"
+            "grid:\n"
+            "  representations: [lexrank]\n"
+            "  summary_sizes: [1]\n"
+            "  similarity_methods: [bm25, cosine]\n",
+        )
+        outdir = tmp_path / "grid_out"
+        code, out, _ = run_cli(
+            capsys,
+            "grid",
+            "--appeals",
+            str(tiny_appeals_file),
+            "--themes",
+            str(tiny_themes_file),
+            "--config",
+            str(config),
+            "--out",
+            str(outdir),
+        )
+        assert code == 0
+        summary = (outdir / "grid_summary.csv").read_bytes()
+        assert out.encode("utf-8") == summary
+        assert re.sub(rb",[0-9]+\.[0-9]{3}\n", b",S\n", summary) == (
+            b"cell,preprocess,representation,summary_size,similarity,recall_at_k,precision_at_k,"
+            b"map_at_k,f1,ndcg_at_k,query_count,skipped,failures,seconds\n"
+            b'"preprocess=remove,representation=lexrank,size=1,similarity=bm25",remove,lexrank,1,'
+            b"bm25,1.0,0.16666666666666666,1.0,1.0,1.0,3,0,0,S\n"
+            b'"preprocess=remove,representation=lexrank,size=1,similarity=cosine",remove,lexrank,1,'
+            b"cosine,,,,,,,,0,S\n"
+        )
+        assert (outdir / "scatter.csv").read_bytes() == (
+            b"cell,recall_at_k,map_at_k,ndcg_at_k\n"
+            b'"preprocess=remove,representation=lexrank,size=1,similarity=bm25",1.0,1.0,1.0\n'
+        )
+
+    def test_repeated_axis_value_fails_before_any_cell(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        config = self.grid_config(tmp_path, "grid:\n  summary_sizes: [1, 1]\n")
+        outdir = tmp_path / "grid_out"
+        code, out, err = run_cli(
+            capsys,
+            "grid",
+            "--appeals",
+            str(tiny_appeals_file),
+            "--themes",
+            str(tiny_themes_file),
+            "--config",
+            str(config),
+            "--out",
+            str(outdir),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "summary_sizes" in err
+        assert len(err.splitlines()) == 1
+        assert not outdir.exists()
+
+
 class TestGridWithoutOut:
     def test_summary_printed_no_files(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
         config = tmp_path / "grid.yaml"
@@ -499,18 +531,51 @@ class TestBadConfig:
         assert code == 1 and "parse" in err
 
 
-class TestGridReport:
-    def test_duplicate_descriptors_rejected(self):
-        from themerank.cli import GridReport
+class TestOneLineErrors:
+    def run(self, capsys, appeals, themes, *extra):
+        code, _, err = run_cli(
+            capsys, "evaluate", "--appeals", str(appeals), "--themes", str(themes), *extra
+        )
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
 
-        with pytest.raises(ValueError, match="unique"):
-            GridReport(rows=(("cell-a", None, 1.0), ("cell-a", None, 2.0)))
+    def test_config_is_a_directory(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(tmp_path))
+        assert str(tmp_path) in err
 
-    def test_unique_descriptors_accepted(self):
-        from themerank.cli import GridReport
+    def test_out_is_an_existing_file(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--out", str(taken))
+        assert str(taken) in err
 
-        report = GridReport(rows=(("cell-a", None, 1.0), ("cell-b", None, 2.0)))
-        assert len(report.rows) == 2
+
+class TestSummaryMode:
+    def evaluate(self, capsys, appeals, themes, representation):
+        return run_cli(
+            capsys,
+            "evaluate",
+            "--appeals",
+            str(appeals),
+            "--themes",
+            str(themes),
+            "--representation",
+            representation,
+            "--alpha",
+            "0",
+            "--beta",
+            "0",
+        )
+
+    def test_lexrank_ignores_zero_weights(self, capsys, tiny_appeals_file, tiny_themes_file):
+        code, out, _ = self.evaluate(capsys, tiny_appeals_file, tiny_themes_file, "lexrank")
+        assert code == 0
+        assert json.loads(out)["query_count"] == 3
+
+    def test_guided_rejects_zero_weights(self, capsys, tiny_appeals_file, tiny_themes_file):
+        code, _, err = self.evaluate(capsys, tiny_appeals_file, tiny_themes_file, "guided_lexrank")
+        assert code == 1 and "alpha + beta > 0" in err
 
 
 class TestStats:

@@ -13,6 +13,7 @@ from themerank.config import (
     cell_config,
     load_run_config,
 )
+from themerank.ranking import PipelineConfig
 from themerank.textproc import load_stopwords
 
 
@@ -68,6 +69,18 @@ class TestBuildPipeline:
         assert pipeline.representation == "guided_lexrank"
         assert pipeline.summary.size == 15
         assert pipeline.bm25.k1 == 1.5
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert build_pipeline(load_run_config(None)) == PipelineConfig()
+
+    def test_summary_mode_follows_representation(self):
+        config = load_run_config(None)
+        config["representation"] = "lexrank"
+        config["summary"].update({"alpha": 0.0, "beta": 0.0})
+        assert build_pipeline(config).summary.mode == "plain"
+        config["representation"] = "guided_lexrank"
+        with pytest.raises(ConfigError, match="alpha"):
+            build_pipeline(config)
 
     def test_bm25_section(self):
         config = load_run_config(None)
@@ -155,6 +168,25 @@ class TestGrid:
         with pytest.raises(ConfigError, match="representation"):
             ExperimentGrid((True,), ("magic",), (5,), ("bm25",))
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ((True, True), ("lexrank",), (5,), ("bm25",)),
+            ((True,), ("lexrank", "fulltext", "lexrank"), (5,), ("bm25",)),
+            ((True,), ("lexrank",), (5, 10, 5), ("bm25",)),
+            ((True,), ("lexrank",), (5,), ("bm25", "bm25")),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, axes):
+        with pytest.raises(ConfigError, match="repeats"):
+            ExperimentGrid(*axes)
+
+    def test_build_grid_rejects_remove_and_true(self):
+        config = load_run_config(None)
+        config["grid"]["preprocess"] = ["remove", True]
+        with pytest.raises(ConfigError, match="preprocess_options"):
+            build_grid(config)
+
     def test_build_grid_accepts_remove_keep_names(self):
         config = load_run_config(None)
         config["grid"]["preprocess"] = ["keep", "remove"]
@@ -176,6 +208,7 @@ class TestGrid:
         assert specialized.summary.size == 7
         assert specialized.similarity_method == "cosine"
         assert specialized.embedding_source == "tfidf"
+        assert specialized.summary.mode == "plain"
 
     def test_cell_config_fulltext_keeps_base_size(self):
         base = build_pipeline(load_run_config(None))

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from themerank.corpus import (
     AppealRecord,
@@ -75,6 +79,25 @@ class TestLoadAppeals:
         assert records == [AppealRecord("A1", "um texto", None)]
 
 
+    def test_field_past_csv_default_limit(self, tmp_path):
+        long_text = "palavra " * 40_000  # 320,000 chars; csv's default limit is 131,072
+        path = tmp_path / "a.csv"
+        write_appeals(path, [AppealRecord("A1", long_text, "T1")])
+        assert load_appeals(path) == [AppealRecord("A1", long_text, "T1")]
+
+    def test_byte_order_mark_header(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("\ufeffid,text,theme\nA1,um texto,T1\n", encoding="utf-8")
+        assert load_appeals(path) == [AppealRecord("A1", "um texto", "T1")]
+
+    @pytest.mark.parametrize("blank", [" ", "\t\n", "\u00a0\u2003", "\u3000\x1c"])
+    def test_whitespace_only_text_rejected(self, tmp_path, blank):
+        path = tmp_path / "a.csv"
+        write_appeals(path, [AppealRecord("A1", "um texto"), AppealRecord("A2", blank)])
+        with pytest.raises(CorpusError, match="empty text"):
+            load_appeals(path)
+
+
 class TestLoadThemes:
     def test_single_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -92,6 +115,17 @@ class TestLoadThemes:
     def test_empty_theme_text(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("id,text\nT1,\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match="empty text"):
+            load_themes(path)
+
+    def test_byte_order_mark_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("\ufeffid,text\nT1,um tema\n", encoding="utf-8")
+        assert list(load_themes(path)) == [ThemeRecord("T1", "um tema")]
+
+    def test_whitespace_only_text_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_themes(path, [ThemeRecord("T1", "\u00a0 \t")])
         with pytest.raises(CorpusError, match="empty text"):
             load_themes(path)
 
@@ -117,6 +151,42 @@ class TestRoundTrip:
         path = tmp_path / "round.csv"
         write_themes(path, themes)
         assert list(load_themes(path)) == themes
+
+
+# Any Unicode but lone surrogates, which UTF-8 cannot encode, and NUL, which
+# Python 3.10's csv reader rejects; quotes, delimiters and \r/\n come up often.
+_CHARS = st.characters(exclude_categories=("Cs",), exclude_characters="\x00")
+_FIELD = st.text(st.one_of(_CHARS, st.sampled_from('",;\t\r\n ')), max_size=40)
+_ID = _FIELD.filter(lambda s: s and s == s.strip())
+_TEXT = _FIELD.filter(lambda s: s.strip())
+_DELIMITERS = st.sampled_from([",", ";", "\t", "|"])
+
+
+def _unique_ids(records):
+    return len({r.id for r in records}) == len(records)
+
+
+class TestRoundTripProperty:
+    @given(
+        st.lists(
+            st.builds(AppealRecord, _ID, _TEXT, st.one_of(st.none(), _ID)), max_size=8
+        ).filter(_unique_ids),
+        _DELIMITERS,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_appeals(self, records, delimiter):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "a.csv"
+            write_appeals(path, records, delimiter=delimiter)
+            assert load_appeals(path, delimiter=delimiter) == records
+
+    @given(st.lists(st.builds(ThemeRecord, _ID, _TEXT), max_size=8).filter(_unique_ids), _DELIMITERS)
+    @settings(max_examples=100, deadline=None)
+    def test_themes(self, themes, delimiter):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "t.csv"
+            write_themes(path, themes, delimiter=delimiter)
+            assert list(load_themes(path, delimiter=delimiter)) == themes
 
 
 class TestCorpusStats:
