@@ -46,11 +46,13 @@ from .metrics import (
     recall_at_k,
 )
 from .ranking import (
+    CorpusOutcome,
     PipelineConfig,
     PipelineError,
     RankedThemeList,
     classify_appeal,
     classify_corpus,
+    classify_grid,
     write_rankings,
 )
 from .similarity import EmbeddingTable, ThemeScores, cosine, load_embeddings, score_by_bm25, tfidf_vectors

@@ -14,13 +14,23 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import config as cfgmod
 from . import corpus as corpusmod
 from .config import ConfigError, GridCell, build_grid, build_pipeline, cell_config
 from .metrics import MetricReport, evaluate_run
-from .ranking import PipelineConfig, PipelineError, classify_appeal, classify_corpus, prepare_themes, write_rankings
+from .ranking import (
+    CorpusOutcome,
+    PipelineConfig,
+    PipelineError,
+    classify_appeal,
+    classify_corpus,
+    classify_grid,
+    prepare_themes,
+    write_rankings,
+)
 
 # Recorded in every metric report: noise removal runs before sentence
 # segmentation throughout this pipeline.
@@ -182,30 +192,22 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _evaluate(
-    appeals,
-    catalog,
-    pipeline: PipelineConfig,
-    parallel: int,
-    label: dict,
-    outdir: Path | None,
-    suffix: str = "",
-) -> tuple[MetricReport, dict, list[str]]:
-    """Classify and score one configuration: evaluate and every grid cell.
+def _report(
+    results, failures: list[str], gold: dict, k: int, label: dict, outdir: Path | None, suffix: str = ""
+) -> tuple[MetricReport, dict]:
+    """Score one classified configuration: evaluate and every grid cell.
 
     ``label`` names the configuration in the metrics document. With an
     ``outdir``, ``rankings{suffix}.csv`` and ``metrics{suffix}.json`` are
-    written there. Returns (report, metrics document, failure messages).
+    written there. Returns (report, metrics document).
     """
-    results, failures = classify_corpus(appeals, catalog, pipeline, parallel=parallel)
-    gold = corpusmod.gold_labels(appeals, catalog)
-    report = evaluate_run(results, gold, pipeline.k)
+    report = evaluate_run(results, gold, k)
     document = report.as_dict()
     document.update(failures=len(failures), preprocess_order=PREPROCESS_ORDER, **label)
     if outdir is not None:
         _write_atomic(outdir / f"rankings{suffix}.csv", lambda tmp: write_rankings(tmp, results, gold))
         _write_text(outdir / f"metrics{suffix}.json", json.dumps(document, sort_keys=True) + "\n")
-    return report, document, failures
+    return report, document
 
 
 def cmd_evaluate(args) -> int:
@@ -216,9 +218,10 @@ def cmd_evaluate(args) -> int:
     appeals = _load_appeals(args, merged)
 
     started = time.perf_counter()
-    report, document, failures = _evaluate(
-        appeals, catalog, pipeline, args.parallel, {"config": GridCell.of(pipeline).descriptor}, outdir
-    )
+    results, failures = classify_corpus(appeals, catalog, pipeline, parallel=args.parallel)
+    gold = corpusmod.gold_labels(appeals, catalog)
+    label = {"config": GridCell.of(pipeline).descriptor}
+    report, document = _report(results, failures, gold, pipeline.k, label, outdir)
     elapsed = time.perf_counter() - started
     print(
         f"evaluated {report.query_count} appeals "
@@ -235,26 +238,25 @@ def _slug(descriptor: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in descriptor)
 
 
-def _run_cell(cell: GridCell, appeals, catalog, base: PipelineConfig, parallel: int, outdir: Path | None):
-    """One grid cell; a cell that cannot be evaluated is reported and the grid goes on."""
+def _run_cell(cell: GridCell, outcome: CorpusOutcome, gold: dict, k: int, outdir: Path | None):
+    """Score and write one classified grid cell; a cell that cannot be scored
+    is reported and the grid goes on. Its seconds are its classification
+    time plus this step. Returns (report or None, failures, seconds)."""
     started = time.perf_counter()
+    label = {"cell": cell.descriptor}
+    report = error = None
     try:
-        report, _, failures = _evaluate(
-            appeals,
-            catalog,
-            cell_config(base, cell),
-            parallel,
-            {"cell": cell.descriptor},
-            outdir,
-            f"_{_slug(cell.descriptor)}",
+        report, _ = _report(
+            outcome.results, outcome.failures, gold, k, label, outdir, f"_{_slug(cell.descriptor)}"
         )
     except ValueError as exc:
-        seconds = time.perf_counter() - started
-        print(f"cell {cell.descriptor}: FAILED after {seconds:.1f}s: {exc}", file=sys.stderr)
-        return None, 0, seconds
-    seconds = time.perf_counter() - started
-    print(f"cell {cell.descriptor}: done in {seconds:.1f}s", file=sys.stderr)
-    return report, len(failures), seconds
+        error = exc
+    seconds = outcome.seconds + time.perf_counter() - started
+    if error is not None:
+        print(f"cell {cell.descriptor}: FAILED after {seconds:.1f}s: {error}", file=sys.stderr)
+    else:
+        print(f"cell {cell.descriptor}: done in {seconds:.1f}s", file=sys.stderr)
+    return report, len(outcome.failures), seconds
 
 
 GRID_SUMMARY_HEADER = (
@@ -291,10 +293,13 @@ def cmd_grid(args) -> int:
     appeals = _load_appeals(args, merged)
 
     cells = list(grid.cells())
+    configs = [cell_config(base, cell) for cell in cells]
     print(f"grid: {len(cells)} cells over {len(appeals)} appeals", file=sys.stderr)
+    outcomes = classify_grid(appeals, catalog, configs, args.parallel)
+    gold = corpusmod.gold_labels(appeals, catalog)
     summary, scatter = [GRID_SUMMARY_HEADER], [SCATTER_HEADER]
-    for cell in cells:
-        report, failures, seconds = _run_cell(cell, appeals, catalog, base, args.parallel, outdir)
+    for cell, outcome in zip(cells, outcomes):
+        report, failures, seconds = _run_cell(cell, outcome, gold, base.k, outdir)
         metrics = [""] * 7  # a failed cell keeps its row with empty metric fields
         if report is not None:
             metrics = [
@@ -346,8 +351,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, csv.Error) as exc:
-        # every load, config and I/O failure: one line and exit 1, no traceback
+    except (OSError, ValueError, csv.Error, BrokenProcessPool) as exc:
+        # every load, config and I/O failure, and a worker process that died:
+        # one line and exit 1, no traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -111,7 +111,20 @@ def load_run_config(path: str | None = None) -> dict[str, Any]:
         loaded = {}
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
-    return _deep_merge(DEFAULT_CONFIG, loaded)
+    merged = _deep_merge(DEFAULT_CONFIG, loaded)
+    _check_shapes(merged, path)
+    return merged
+
+
+def _check_shapes(config: dict[str, Any], path: str) -> None:
+    """Every section the defaults hold as a mapping is a mapping, and every
+    grid axis is a list, so that a misshapen value is named, not iterated."""
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(config[key], dict):
+            raise ConfigError(f"{path}: {key!r} must be a mapping, got {config[key]!r}")
+    for axis in DEFAULT_CONFIG["grid"]:
+        if not isinstance(config["grid"][axis], list):
+            raise ConfigError(f"{path}: grid axis {axis!r} must be a list, got {config['grid'][axis]!r}")
 
 
 def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:

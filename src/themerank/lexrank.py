@@ -5,6 +5,11 @@ similarity. Plain summaries rank sentences by graph centrality alone; guided
 summaries blend that centrality with how strongly each sentence matches the
 theme catalog under BM25, using two weighting factors, and pick the highest
 combined scores.
+
+A summary is an analysis and a selection. The analysis (token lists,
+centrality, guidance) depends only on the document, the graph settings and
+the theme index; the selection (size and weights) is cheap, so summaries of
+several sizes and weights can share one analysis.
 """
 
 from __future__ import annotations
@@ -83,6 +88,17 @@ class SummaryConfig:
             raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError(f"damping must be in (0, 1), got {self.damping}")
+
+    @property
+    def graph_settings(self) -> tuple:
+        """The knobs centrality depends on: summaries that agree here share γ."""
+        return (
+            self.centrality_variant,
+            self.threshold,
+            self.damping,
+            self.tolerance,
+            self.max_iterations,
+        )
 
 
 @dataclass(frozen=True)
@@ -234,29 +250,60 @@ def select_top(scores: np.ndarray, size: int) -> list[int]:
     return order[: min(size, len(scores))]
 
 
-def summarize(
-    sentences: Sequence[Sentence],
+class SentenceAnalysis:
+    """What every summary of one document shares: its sentences, their token
+    lists and, computed on first use, the centrality γ under each graph
+    setting and the guidance σ against the last theme index asked for."""
+
+    def __init__(self, sentences: Sequence[Sentence]):
+        self.sentences = tuple(sentences)
+        self.tokens = [tokenize(s.text) for s in self.sentences]
+        self._gamma: dict[tuple, CentralityScores] = {}
+        self._sigma: tuple[Bm25Index, GuidanceScores] | None = None
+
+    def gamma(self, config: SummaryConfig) -> CentralityScores:
+        key = config.graph_settings
+        if key not in self._gamma:
+            graph = similarity_matrix(self.tokens, threshold=config.threshold)
+            self._gamma[key] = centrality(graph, config)
+        return self._gamma[key]
+
+    def sigma(self, theme_index: Bm25Index) -> GuidanceScores:
+        if self._sigma is None or self._sigma[0] is not theme_index:
+            self._sigma = (theme_index, guidance_scores(self.tokens, theme_index))
+        return self._sigma[1]
+
+
+def select(
+    analysis: SentenceAnalysis,
     config: SummaryConfig,
     theme_index: Bm25Index | None = None,
 ) -> Summary:
-    """Extract the highest-scoring sentences and re-join them in document order."""
+    """The summary of ``config``'s mode, size and weights, drawn from an
+    analysed document; its sentences are re-joined in document order."""
     if config.mode == "guided" and theme_index is None:
         raise ValueError("guided summarization requires a theme index")
-    token_lists = [tokenize(s.text) for s in sentences]
-    graph = similarity_matrix(token_lists, threshold=config.threshold)
-    gamma = centrality(graph, config)
+    gamma = analysis.gamma(config)
     if config.mode == "guided":
-        sigma = guidance_scores(token_lists, theme_index)
-        scores = combined_scores(gamma, sigma, config.alpha, config.beta)
+        scores = combined_scores(gamma, analysis.sigma(theme_index), config.alpha, config.beta)
     else:
         scores = gamma.gamma
 
     order = select_top(scores, config.size)
     indices = sorted(order)
-    text = " ".join(sentences[i].text for i in indices)
+    text = " ".join(analysis.sentences[i].text for i in indices)
     return Summary(
         indices=tuple(indices),
         order=tuple(order),
         text=text,
         scores=tuple(float(s) for s in scores),
     )
+
+
+def summarize(
+    sentences: Sequence[Sentence],
+    config: SummaryConfig,
+    theme_index: Bm25Index | None = None,
+) -> Summary:
+    """Extract the highest-scoring sentences and re-join them in document order."""
+    return select(SentenceAnalysis(sentences), config, theme_index)

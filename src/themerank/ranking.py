@@ -3,19 +3,27 @@ score it against the theme catalog and emit the ordered top-k suggestions.
 
 Classification of a single appeal is a pure function of (appeal, catalog,
 config), so corpus runs are byte-identical at any degree of parallelism.
+
+Per appeal the work splits into an analysis, which depends only on the
+preprocess settings (cleaned text, sentences, centrality, guidance), and a
+cheap per-config selection and scoring tail. A grid of configs analyses each
+appeal once per preprocess setting and derives every config from it.
 """
 
 from __future__ import annotations
 
 import csv
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .bm25 import Bm25Index, Bm25Params, build_index
 from .corpus import AppealRecord, ThemeCatalog
-from .lexrank import SummaryConfig, summarize
+from .lexrank import SentenceAnalysis, SummaryConfig, select
+from .lexrank import summarize  # noqa: F401  perfbench/spans.py wraps it at this binding
 from .similarity import EmbeddingTable, cosine, load_embeddings, score_by_bm25, tfidf_vectors
 from .textproc import PreprocessConfig, extract_core, remove_noise, segment_sentences, tokenize
 
@@ -92,31 +100,47 @@ class PreparedThemes:
     embeddings: EmbeddingTable | None
 
 
+def _embedding_file(config: PipelineConfig) -> str | None:
+    """The embedding file a config's theme side loads, if any."""
+    if config.similarity_method == "cosine" and config.embedding_source != TFIDF_FALLBACK:
+        return config.embedding_source
+    return None
+
+
 def prepare_themes(catalog: ThemeCatalog, config: PipelineConfig) -> PreparedThemes:
     """Build the read-only theme-side state shared by every appeal."""
     if len(catalog) == 0:
         raise PipelineError("theme catalog is empty")
     tokens = {theme.id: tokenize(theme.text) for theme in catalog}
     index = build_index([(theme.id, tokens[theme.id]) for theme in catalog], config.bm25)
-    embeddings = None
-    if config.similarity_method == "cosine" and config.embedding_source != TFIDF_FALLBACK:
-        embeddings = load_embeddings(config.embedding_source)
+    embedding_file = _embedding_file(config)
+    embeddings = load_embeddings(embedding_file) if embedding_file is not None else None
     return PreparedThemes(catalog=catalog, tokens=tokens, index=index, embeddings=embeddings)
 
 
-def _representation_tokens(
-    appeal: AppealRecord, config: PipelineConfig, prepared: PreparedThemes
-) -> list[str]:
-    core = extract_core(appeal.raw_text, config.preprocess)
-    cleaned = remove_noise(core, config.preprocess)
-    if not cleaned.strip():
-        raise PipelineError(f"appeal {appeal.id!r}: text empty after preprocessing")
-    if config.representation == "fulltext":
-        return tokenize(cleaned)
+class AppealAnalysis:
+    """One appeal under one preprocess config: the cleaned text and, computed
+    on first use, its sentence analysis."""
 
-    sentences = segment_sentences(cleaned, config.preprocess.abbreviations)
-    summary = summarize(
-        sentences,
+    def __init__(self, appeal: AppealRecord, preprocess: PreprocessConfig):
+        core = extract_core(appeal.raw_text, preprocess)
+        self.cleaned = remove_noise(core, preprocess)
+        if not self.cleaned.strip():
+            raise PipelineError(f"appeal {appeal.id!r}: text empty after preprocessing")
+        self.abbreviations = preprocess.abbreviations
+
+    @cached_property
+    def sentences(self) -> SentenceAnalysis:
+        return SentenceAnalysis(segment_sentences(self.cleaned, self.abbreviations))
+
+
+def _representation_tokens(
+    analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
+) -> list[str]:
+    if config.representation == "fulltext":
+        return tokenize(analysis.cleaned)
+    summary = select(
+        analysis.sentences,
         config.summary,
         theme_index=prepared.index if config.summary.mode == "guided" else None,
     )
@@ -160,14 +184,23 @@ def classify_appeal(
     catalog: ThemeCatalog,
     config: PipelineConfig,
     prepared: PreparedThemes | None = None,
+    memo: dict[PreprocessConfig, AppealAnalysis] | None = None,
 ) -> RankedThemeList:
     """Rank every theme for one appeal and truncate to the top k.
 
-    Scores sort descending with ties broken by ascending theme id.
+    Scores sort descending with ties broken by ascending theme id. ``memo``
+    serves one appeal and holds its analysis under the last preprocess
+    config asked for: consecutive calls for configs that share a preprocess
+    config analyse the appeal once, and a memo never holds two analyses.
     """
     if prepared is None:
         prepared = prepare_themes(catalog, config)
-    rep_tokens = _representation_tokens(appeal, config, prepared)
+    memo = {} if memo is None else memo
+    analysis = memo.get(config.preprocess)
+    if analysis is None:
+        memo.clear()
+        analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
+    rep_tokens = _representation_tokens(analysis, config, prepared)
     if config.similarity_method == "bm25":
         scores = score_by_bm25(rep_tokens, prepared.index).scores
     else:
@@ -176,28 +209,93 @@ def classify_appeal(
     return RankedThemeList(appeal_id=appeal.id, entries=tuple(ordered[: config.k]))
 
 
-def _classify_safely(
-    appeal: AppealRecord,
-    catalog: ThemeCatalog,
-    config: PipelineConfig,
-    prepared: PreparedThemes,
-):
-    try:
-        return ("ok", classify_appeal(appeal, catalog, config, prepared))
-    except (PipelineError, ValueError, RuntimeError) as exc:
-        return ("err", f"{appeal.id}: {exc}")
+def _classify_safely(appeal, catalog, configs, prepared) -> list[tuple[str, object, float]]:
+    """Every config against one appeal, sharing one memo of its analyses:
+    (status, ranking or failure message, seconds) per config. A failure is
+    the appeal's under that config alone."""
+    memo: dict = {}
+    outcomes = []
+    for config, themes in zip(configs, prepared):
+        start = time.perf_counter()
+        try:
+            status, payload = "ok", classify_appeal(appeal, catalog, config, themes, memo)
+        except (PipelineError, ValueError, RuntimeError, MemoryError) as exc:
+            status, payload = "err", f"{appeal.id}: {exc}"
+        outcomes.append((status, payload, time.perf_counter() - start))
+    return outcomes
 
 
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(catalog, config, prepared):
-    _WORKER_STATE["args"] = (catalog, config, prepared)
+def _init_worker(catalog, configs, prepared):
+    _WORKER_STATE["args"] = (catalog, configs, prepared)
 
 
 def _run_worker(appeal):
-    catalog, config, prepared = _WORKER_STATE["args"]
-    return _classify_safely(appeal, catalog, config, prepared)
+    return _classify_safely(appeal, *_WORKER_STATE["args"])
+
+
+@dataclass(frozen=True)
+class CorpusOutcome:
+    """One config over a batch: rankings in input order, per-appeal failure
+    messages, and the summed seconds of its ``classify_appeal`` calls (an
+    analysis shared by several configs counts for the first one)."""
+
+    results: list[RankedThemeList]
+    failures: list[str]
+    seconds: float
+
+
+def _prepare_each(catalog: ThemeCatalog, configs: Sequence[PipelineConfig]) -> list[PreparedThemes]:
+    """prepare_themes per config; configs with the same theme side share one
+    PreparedThemes, so their guided summaries share guidance σ."""
+    shared: dict = {}
+    prepared = []
+    for config in configs:
+        key = (config.bm25, _embedding_file(config))
+        if key not in shared:
+            shared[key] = prepare_themes(catalog, config)
+        prepared.append(shared[key])
+    return prepared
+
+
+def classify_grid(
+    appeals: Sequence[AppealRecord],
+    catalog: ThemeCatalog,
+    configs: Sequence[PipelineConfig],
+    parallel: int = 1,
+) -> list[CorpusOutcome]:
+    """Classify a batch of appeals under every config, one outcome per config.
+
+    One task per appeal runs every config, in the given order, against that
+    appeal's memo: an appeal is analysed once per run of consecutive configs
+    that share a preprocess config (once per preprocess option in grid
+    order), and a worker holds one analysis at a time. All configs share one
+    process pool. Results keep input order; per-appeal failures are
+    collected instead of aborting the batch.
+    """
+    prepared = _prepare_each(catalog, configs)
+    if parallel <= 1 or len(appeals) <= 1:
+        per_appeal = [_classify_safely(a, catalog, configs, prepared) for a in appeals]
+    else:
+        chunksize = max(1, len(appeals) // (parallel * 4))
+        with ProcessPoolExecutor(
+            max_workers=parallel,
+            initializer=_init_worker,
+            initargs=(catalog, configs, prepared),
+        ) as pool:
+            per_appeal = list(pool.map(_run_worker, appeals, chunksize=chunksize))
+
+    outcomes = []
+    for column in range(len(configs)):
+        results, failures, seconds = [], [], 0.0
+        for row in per_appeal:
+            status, payload, elapsed = row[column]
+            (results if status == "ok" else failures).append(payload)
+            seconds += elapsed
+        outcomes.append(CorpusOutcome(results, failures, seconds))
+    return outcomes
 
 
 def classify_corpus(
@@ -211,26 +309,8 @@ def classify_corpus(
     Per-appeal failures are collected as messages instead of aborting the
     batch. Returns (results, failures).
     """
-    prepared = prepare_themes(catalog, config)
-    if parallel <= 1 or len(appeals) <= 1:
-        outcomes = [_classify_safely(a, catalog, config, prepared) for a in appeals]
-    else:
-        chunksize = max(1, len(appeals) // (parallel * 4))
-        with ProcessPoolExecutor(
-            max_workers=parallel,
-            initializer=_init_worker,
-            initargs=(catalog, config, prepared),
-        ) as pool:
-            outcomes = list(pool.map(_run_worker, appeals, chunksize=chunksize))
-
-    results = []
-    failures = []
-    for status, payload in outcomes:
-        if status == "ok":
-            results.append(payload)
-        else:
-            failures.append(payload)
-    return results, failures
+    outcome = classify_grid(appeals, catalog, [config], parallel)[0]
+    return outcome.results, outcome.failures
 
 
 RANKINGS_HEADER = ("appeal_id", "rank", "theme_id", "score", "gold_theme_id", "hit_flag")

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
+import pytest
+
+from themerank import lexrank, ranking
 from themerank.cli import main
 
 
@@ -425,7 +430,8 @@ class TestGrid:
 
     def test_summary_and_scatter_bytes(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
         # the embedding file holds themes only: the bm25 cell succeeds, every
-        # appeal fails under cosine, so that cell fails with empty metrics
+        # appeal fails under cosine, so that cell fails with empty metrics and
+        # reports its 3 per-appeal failures
         embeddings = tmp_path / "themes.tsv"
         embeddings.write_text("id\t2\nT1\t1.0,0.0\nT2\t0.0,1.0\nT3\t0.5,0.5\n", encoding="utf-8")
         config = self.grid_config(
@@ -458,7 +464,7 @@ class TestGrid:
             b'"preprocess=remove,representation=lexrank,size=1,similarity=bm25",remove,lexrank,1,'
             b"bm25,1.0,0.16666666666666666,1.0,1.0,1.0,3,0,0,S\n"
             b'"preprocess=remove,representation=lexrank,size=1,similarity=cosine",remove,lexrank,1,'
-            b"cosine,,,,,,,,0,S\n"
+            b"cosine,,,,,,,,3,S\n"
         )
         assert (outdir / "scatter.csv").read_bytes() == (
             b"cell,recall_at_k,map_at_k,ndcg_at_k\n"
@@ -485,6 +491,118 @@ class TestGrid:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "summary_sizes" in err
         assert len(err.splitlines()) == 1
+        assert not outdir.exists()
+
+
+class TestGridFastPath:
+    """The grid analyses each appeal once per preprocess option and derives
+    every cell from that analysis, in one pool for all cells."""
+
+    def grid(self, capsys, appeals, themes, tmp_path, body, *extra):
+        config = tmp_path / "grid.yaml"
+        config.write_text(body, encoding="utf-8")
+        outdir = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+        argv = ["grid", "--appeals", str(appeals), "--themes", str(themes), "--config", str(config)]
+        code, out, err = run_cli(capsys, *argv, "--out", str(outdir), *extra)
+        return code, err, outdir
+
+    def count_calls(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "representations, graphs_per_appeal, guidance_per_appeal",
+        [
+            ("[guided_lexrank, lexrank, fulltext]", 1, 1),
+            ("[lexrank, fulltext]", 1, 0),
+            ("[fulltext]", 0, 0),
+        ],
+    )
+    def test_one_analysis_per_appeal_and_preprocess_option(
+        self, capsys, monkeypatch, tiny_appeals_file, tiny_themes_file, tmp_path,
+        representations, graphs_per_appeal, guidance_per_appeal,
+    ):
+        graphs = self.count_calls(monkeypatch, lexrank, "similarity_matrix")
+        guidance = self.count_calls(monkeypatch, lexrank, "guidance_scores")
+        segments = self.count_calls(monkeypatch, ranking, "segment_sentences")
+        noise = self.count_calls(monkeypatch, ranking, "remove_noise")
+        code, _, outdir = self.grid(
+            capsys, tiny_appeals_file, tiny_themes_file, tmp_path,
+            "grid:\n"
+            "  preprocess: [remove, keep]\n"
+            f"  representations: {representations}\n"
+            "  summary_sizes: [1, 2]\n"
+            "  similarity_methods: [bm25, cosine]\n",
+            "--parallel", "1",
+        )
+        assert code == 0
+        analyses = 2 * 3  # preprocess options x appeals
+        assert len(noise) == analyses
+        assert len(graphs) == graphs_per_appeal * analyses
+        assert len(segments) == graphs_per_appeal * analyses
+        assert len(guidance) == guidance_per_appeal * analyses
+
+    def test_parallel_1_and_2_write_identical_bytes(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        body = (
+            "grid:\n"
+            "  preprocess: [remove, keep]\n"
+            "  representations: [guided_lexrank, lexrank, fulltext]\n"
+            "  summary_sizes: [1, 2]\n"
+            "  similarity_methods: [bm25, cosine]\n"
+        )
+        outputs = []
+        for parallel in ("1", "2"):
+            code, _, outdir = self.grid(
+                capsys, tiny_appeals_file, tiny_themes_file, tmp_path, body, "--parallel", parallel
+            )
+            assert code == 0
+            files = sorted(outdir.glob("rankings_*.csv")) + sorted(outdir.glob("metrics_*.json"))
+            assert len(files) == 2 * 20  # two files for each of 20 cells
+            outputs.append({f.name: f.read_bytes() for f in files + [outdir / "scatter.csv"]})
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched classify_appeal reaches the workers only through fork",
+    )
+    def test_dead_worker_is_one_error_line(
+        self, capsys, monkeypatch, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        classify = ranking.classify_appeal
+
+        def dies_on_a2(appeal, *args, **kwargs):
+            if appeal.id == "A2":
+                os._exit(1)
+            return classify(appeal, *args, **kwargs)
+
+        monkeypatch.setattr(ranking, "classify_appeal", dies_on_a2)
+        code, err, outdir = self.grid(
+            capsys, tiny_appeals_file, tiny_themes_file, tmp_path,
+            "grid:\n  representations: [lexrank]\n  summary_sizes: [1]\n",
+            "--parallel", "2",
+        )
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: ") and "Traceback" not in err
+        assert not (outdir / "grid_summary.csv").exists()
+
+    def test_axis_not_a_list_is_one_error_line(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        code, err, outdir = self.grid(
+            capsys, tiny_appeals_file, tiny_themes_file, tmp_path, "grid:\n  preprocess: remove\n"
+        )
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "'preprocess' must be a list" in err
         assert not outdir.exists()
 
 
@@ -549,6 +667,12 @@ class TestOneLineErrors:
         taken.write_text("", encoding="utf-8")
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--out", str(taken))
         assert str(taken) in err
+
+    def test_section_not_a_mapping(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("summary: 5\n", encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
+        assert "'summary' must be a mapping, got 5" in err
 
 
 class TestSummaryMode:

@@ -47,6 +47,23 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match="mapping"):
             load_run_config(str(path))
 
+    @pytest.mark.parametrize(
+        "body", ["summary: 5\n", "bm25: [1, 2]\n", "grid: remove\n", "appeal_columns: null\n"]
+    )
+    def test_section_not_a_mapping_names_it(self, tmp_path, body):
+        path = tmp_path / "run.yaml"
+        path.write_text(body, encoding="utf-8")
+        section = body.split(":")[0]
+        with pytest.raises(ConfigError, match=f"'{section}' must be a mapping"):
+            load_run_config(str(path))
+
+    @pytest.mark.parametrize("axis", ["preprocess", "representations", "summary_sizes", "similarity_methods"])
+    def test_grid_axis_not_a_list_names_it(self, tmp_path, axis):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"grid:\n  {axis}: remove\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"grid axis '{axis}' must be a list, got 'remove'"):
+            load_run_config(str(path))
+
 
 class TestOverrides:
     def test_flags_win(self):

@@ -13,7 +13,9 @@ from oracles import (
     stationary_brute,
 )
 from themerank.bm25 import build_index
+from themerank import lexrank
 from themerank.lexrank import (
+    SentenceAnalysis,
     SentenceGraph,
     Summary,
     SummaryConfig,
@@ -21,6 +23,7 @@ from themerank.lexrank import (
     continuous_centrality,
     degree_centrality,
     guidance_scores,
+    select,
     select_top,
     similarity_matrix,
     summarize,
@@ -362,3 +365,34 @@ def test_select_top_truncates_and_orders():
     scores = np.array([0.1, 0.9, 0.9, 0.2])
     assert select_top(scores, 3) == [1, 2, 3]
     assert select_top(scores, 10) == [1, 2, 3, 0]
+
+
+class TestSharedAnalysis:
+    def test_selections_from_one_analysis_equal_fresh_summaries(self, monkeypatch):
+        rng = random.Random(59)
+        index = build_index([("T1", ["w1", "w2"]), ("T2", ["w3", "w4", "w5"])])
+        other_index = build_index([("T9", ["w6", "w7"])])
+        graphs = []
+        original = lexrank.similarity_matrix
+        monkeypatch.setattr(
+            lexrank, "similarity_matrix", lambda *a, **k: graphs.append(1) or original(*a, **k)
+        )
+        for _ in range(10):
+            token_lists = random_token_lists(rng, max_sentences=9)
+            sentences = make_sentences([" ".join(toks) for toks in token_lists])
+            analysis = SentenceAnalysis(sentences)
+            graphs.clear()
+            configs = [
+                SummaryConfig(mode=mode, size=size, alpha=alpha, beta=beta, threshold=threshold)
+                for mode in ("plain", "guided")
+                for size in (1, 3, 20)
+                for alpha, beta in ((1.0, 1.0), (0.0, 2.0), (0.5, 0.0))
+                for threshold in (0.1, 0.3)
+            ]
+            for config in configs:
+                for theme_index in (index, other_index):
+                    assert select(analysis, config, theme_index) == summarize(
+                        sentences, config, theme_index
+                    )
+            fresh = 2 * len(configs)  # one graph per summarize call
+            assert len(graphs) == 2 + fresh  # one per threshold from the shared analysis

@@ -4,14 +4,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from synth import make_appeals, make_themes
+from themerank import ranking
+from themerank.config import ExperimentGrid, cell_config
 from themerank.corpus import AppealRecord, ThemeCatalog, ThemeRecord, gold_labels, load_appeals, load_themes
 from themerank.ranking import (
+    REPRESENTATIONS,
+    SIMILARITY_METHODS,
     PipelineConfig,
     PipelineError,
     RankedThemeList,
     classify_appeal,
     classify_corpus,
+    classify_grid,
     prepare_themes,
     read_rankings,
     write_rankings,
@@ -112,6 +120,16 @@ class TestClassifyAppeal:
         with pytest.raises(PipelineError, match="empty after preprocessing"):
             classify_appeal(appeal, SEVEN_THEMES, config)
 
+    def test_memo_holds_the_last_analysis_only(self):
+        appeal = AppealRecord("A1", "Discute-se a prescrição intercorrente na execução fiscal.")
+        removing = replace(PLAIN_CONFIG, preprocess=PreprocessConfig(remove_terms=True))
+        memo = {}
+        for config in (PLAIN_CONFIG, removing, removing):
+            assert classify_appeal(appeal, SEVEN_THEMES, config, memo=memo) == classify_appeal(
+                appeal, SEVEN_THEMES, config
+            )
+        assert list(memo) == [removing.preprocess]
+
     def test_guided_without_alpha_beta_invalid(self):
         with pytest.raises(ValueError):
             SummaryConfig(mode="guided", alpha=0.0, beta=0.0)
@@ -211,6 +229,93 @@ class TestClassifyCorpus:
         results, failures = classify_corpus(appeals, SEVEN_THEMES, config, parallel=2)
         assert [r.appeal_id for r in results] == ["A1", "A3"]
         assert len(failures) == 1 and "A2" in failures[0]
+
+
+    def test_memory_error_is_a_per_appeal_failure(self, monkeypatch):
+        classify = ranking.classify_appeal
+
+        def exhausted_on_a2(appeal, *args, **kwargs):
+            if appeal.id == "A2":
+                raise MemoryError("out of memory")
+            return classify(appeal, *args, **kwargs)
+
+        monkeypatch.setattr(ranking, "classify_appeal", exhausted_on_a2)
+        appeals = [AppealRecord(f"A{i}", "prescrição intercorrente execução") for i in (1, 2, 3)]
+        results, failures = classify_corpus(appeals, SEVEN_THEMES, PLAIN_CONFIG)
+        assert [r.appeal_id for r in results] == ["A1", "A3"]
+        assert failures == ["A2: out of memory"]
+
+
+def _standalone(appeal, catalog, config):
+    """The slow path: one classify_appeal with no shared state."""
+    try:
+        return ("ok", classify_appeal(appeal, catalog, config))
+    except (PipelineError, ValueError, RuntimeError) as exc:
+        return ("err", f"{appeal.id}: {exc}")
+
+
+@st.composite
+def grid_runs(draw):
+    """A tests/synth.py corpus (sometimes with an appeal that preprocessing
+    empties) and the configs of a random grid under random weights."""
+    themes = make_themes(draw(st.integers(2, 12)))
+    rows = make_appeals(
+        themes,
+        draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+        gold_copies=draw(st.integers(1, 4)),
+        max_quotes=draw(st.integers(0, 4)),
+        filler_sentences=draw(st.integers(0, 12)),
+    )
+    appeals = [AppealRecord(appeal_id, text, gold) for appeal_id, text, gold in rows]
+    if draw(st.booleans()):
+        appeals.append(AppealRecord("A_empty", "a de 1234567 na. O que se."))
+    grid = ExperimentGrid(
+        preprocess_options=tuple(draw(st.lists(st.booleans(), min_size=1, max_size=2, unique=True))),
+        representations=tuple(
+            draw(st.lists(st.sampled_from(REPRESENTATIONS), min_size=1, max_size=3, unique=True))
+        ),
+        summary_sizes=tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True))),
+        similarity_methods=tuple(
+            draw(st.lists(st.sampled_from(SIMILARITY_METHODS), min_size=1, max_size=2, unique=True))
+        ),
+    )
+    weight = st.floats(0.0, 3.0, allow_nan=False)
+    weights = draw(
+        st.lists(st.tuples(weight, weight).filter(lambda ab: sum(ab) > 0), min_size=1, max_size=2)
+    )
+    base = PipelineConfig(embedding_source="tfidf", k=draw(st.integers(1, 8)))
+    configs = [
+        cell_config(replace(base, summary=replace(base.summary, alpha=alpha, beta=beta)), cell)
+        for alpha, beta in weights
+        for cell in grid.cells()
+    ]
+    catalog = ThemeCatalog(ThemeRecord(theme_id, text) for theme_id, text in themes)
+    return appeals, catalog, configs
+
+
+class TestClassifyGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(grid_runs())
+    def test_every_config_equals_standalone_classification(self, run):
+        appeals, catalog, configs = run
+        outcomes = classify_grid(appeals, catalog, configs)
+        assert len(outcomes) == len(configs)
+        for config, outcome in zip(configs, outcomes):
+            slow = [_standalone(appeal, catalog, config) for appeal in appeals]
+            assert outcome.results == [payload for status, payload in slow if status == "ok"]
+            assert outcome.failures == [payload for status, payload in slow if status == "err"]
+            assert outcome.seconds > 0
+
+    def test_classify_corpus_is_a_one_config_grid(self, synthetic_corpus_100):
+        appeals_path, themes_path = synthetic_corpus_100
+        appeals = load_appeals(appeals_path)[:6]
+        catalog = load_themes(themes_path)
+        outcome = classify_grid(appeals, catalog, [PipelineConfig()], parallel=2)[0]
+        assert classify_corpus(appeals, catalog, PipelineConfig()) == (outcome.results, outcome.failures)
+
+    def test_no_configs_no_outcomes(self):
+        assert classify_grid([AppealRecord("A1", "texto")], SEVEN_THEMES, []) == []
 
 
 class TestRankingsFile:
