@@ -25,10 +25,8 @@ from .ranking import (
     CorpusOutcome,
     PipelineConfig,
     PipelineError,
-    classify_appeal,
     classify_corpus,
     classify_grid,
-    prepare_themes,
     write_rankings,
 )
 
@@ -175,15 +173,16 @@ def cmd_classify(args) -> int:
     else:
         raise ConfigError("classify needs --text or --appeals")
 
-    prepared = prepare_themes(catalog, pipeline)
-    results = []
-    for appeal in appeals:
-        ranked = classify_appeal(appeal, catalog, pipeline, prepared)
-        results.append(ranked)
+    results, failures = classify_corpus(appeals, catalog, pipeline, parallel=args.parallel)
+    for ranked in results:
         print(f"appeal {ranked.appeal_id}")
         print(f"{'rank':>4}  {'theme_id':<16}  score")
         for position, (theme_id, score) in enumerate(ranked.entries, start=1):
             print(f"{position:>4}  {theme_id:<16}  {score:.6f}")
+    for failure in failures:
+        print(f"failure: {failure}", file=sys.stderr)
+    if not results:
+        raise PipelineError(f"no appeal ranked ({len(failures)} failed)")
 
     if outdir is not None:
         gold = corpusmod.gold_labels(appeals, catalog)

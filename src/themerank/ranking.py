@@ -126,7 +126,7 @@ class AppealAnalysis:
         core = extract_core(appeal.raw_text, preprocess)
         self.cleaned = remove_noise(core, preprocess)
         if not self.cleaned.strip():
-            raise PipelineError(f"appeal {appeal.id!r}: text empty after preprocessing")
+            raise PipelineError("text empty after preprocessing")
         self.abbreviations = preprocess.abbreviations
 
     @cached_property
@@ -155,7 +155,7 @@ def _cosine_scores(
 ) -> dict[str, float]:
     if config.embedding_source == TFIDF_FALLBACK:
         if not rep_tokens:
-            raise PipelineError(f"appeal {appeal.id!r}: no tokens left for vectorization")
+            raise PipelineError("no tokens left for vectorization")
         table = tfidf_vectors(
             [(_QUERY_KEY, rep_tokens)]
             + [(theme.id, prepared.tokens[theme.id]) for theme in prepared.catalog]
@@ -165,7 +165,7 @@ def _cosine_scores(
         table = prepared.embeddings
         query_vector = table.vectors.get(appeal.id)
         if query_vector is None:
-            raise PipelineError(f"appeal {appeal.id!r}: no embedding in {config.embedding_source}")
+            raise PipelineError(f"no embedding in {config.embedding_source}")
 
     scores = {}
     for theme in prepared.catalog:
@@ -175,7 +175,7 @@ def _cosine_scores(
         try:
             scores[theme.id] = cosine(query_vector, theme_vector)
         except ValueError as exc:
-            raise PipelineError(f"appeal {appeal.id!r} vs theme {theme.id!r}: {exc}") from exc
+            raise PipelineError(f"theme {theme.id!r}: {exc}") from exc
     return scores
 
 
@@ -212,7 +212,8 @@ def classify_appeal(
 def _classify_safely(appeal, catalog, configs, prepared) -> list[tuple[str, object, float]]:
     """Every config against one appeal, sharing one memo of its analyses:
     (status, ranking or failure message, seconds) per config. A failure is
-    the appeal's under that config alone."""
+    the appeal's under that config alone; its message is the appeal id and
+    the error, which does not name the appeal again."""
     memo: dict = {}
     outcomes = []
     for config, themes in zip(configs, prepared):

@@ -18,7 +18,11 @@ from pathlib import Path
 TokenSequence = list[str]
 
 _TERMINALS = ".!?…"
+# a maximal run of terminals and the whitespace run after it (group 1);
+# re's \s is exactly str.isspace
+_TERMINAL_RUN_RE = re.compile(r"[.!?…]+(\s*)")
 _WORD_RE = re.compile(r"[^\W_]+")
+_SPACE_RUN_RE = re.compile(r"\s+")
 
 # Sentence-final abbreviations that must not end a sentence, stored without
 # their trailing period.
@@ -172,25 +176,15 @@ def segment_sentences(
         raise ValueError("segment_sentences requires non-empty text")
     boundaries = []
     n = len(text)
-    i = 0
-    while i < n:
-        if text[i] not in _TERMINALS:
-            i += 1
-            continue
-        j = i + 1
-        while j < n and text[j] in _TERMINALS:
-            j += 1
-        k = j
-        while k < n and text[k].isspace():
-            k += 1
+    for run in _TERMINAL_RUN_RE.finditer(text):
+        j, k = run.span(1)
         if k > j and k < n and (text[k].isupper() or text[k].isdigit()):
-            t = i
+            t = run.start()
             while t > 0 and not text[t - 1].isspace():
                 t -= 1
             token = text[t:j].lower().rstrip(_TERMINALS)
             if token not in abbreviations:
                 boundaries.append((j, k))
-        i = j
 
     pieces = []
     start = 0
@@ -218,13 +212,71 @@ def tokenize(text: str) -> TokenSequence:
     return _WORD_RE.findall(normalized)
 
 
+def _case_classes(chars) -> dict[str, str]:
+    """Map each character to one representative of the characters that match
+    the same text under ``re.IGNORECASE``: ``s``/``S``/``ſ``, ``k``/``K``
+    (Kelvin sign), ``i``/``I``/``ı``/``İ``, ``σ``/``ς``, ``µ``/``μ`` and so on.
+
+    A cased pattern character matches exactly the text characters of its
+    class, the classes are disjoint, and an uncased character matches only
+    itself; so one representative stands for its whole class in a pattern.
+    """
+    representatives: list[str] = []
+    classes = {}
+    for ch in sorted(chars):
+        if ch.lower() == ch == ch.upper():
+            classes[ch] = ch
+            continue
+        for rep in representatives:
+            if re.fullmatch(re.escape(rep), ch, re.IGNORECASE):
+                classes[ch] = rep
+                break
+        else:
+            representatives.append(ch)
+            classes[ch] = ch
+    return classes
+
+
+def _trie_pattern(node: dict) -> str:
+    """The pattern of a trie node: a run of single-child nodes as literals,
+    then a group at a branch point or where a word ends (key ``""``), the
+    group made optional after its children, so longer words are tried first."""
+    pattern = ""
+    while len(node) == 1 and "" not in node:
+        ((ch, node),) = node.items()
+        pattern += re.escape(ch)
+    keys = sorted(ch for ch in node if ch)
+    if not keys:
+        return pattern
+    group = "|".join(re.escape(ch) + _trie_pattern(node[ch]) for ch in keys)
+    return f"{pattern}(?:{group}){'?' if '' in node else ''}"
+
+
 @lru_cache(maxsize=16)
 def _stopword_regex(words: frozenset[str]) -> re.Pattern | None:
+    """One regex for a stopword set, its words factored as a prefix trie.
+
+    The trie is keyed by case class, so all the words that can match at one
+    position lie on one path, and greedy depth-first matching returns the
+    longest of them that passes the word-boundary guard: the same matches as
+    an alternation of the words sorted longest first, without trying every
+    word at every word start. Entries may span punctuation (``d'``).
+
+    Groups nest once per branch point or word end along an entry, so only a
+    set holding hundreds of nested prefixes of one entry would exceed
+    Python's recursion limit when the pattern compiles.
+    """
     if not words:
         return None
-    alternatives = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
+    classes = _case_classes({ch for word in words for ch in word})
+    root: dict = {}
+    for word in words:
+        node = root
+        for ch in word:
+            node = node.setdefault(classes[ch], {})
+        node[""] = {}
     # custom word boundary: underscore counts as a separator, unlike \b
-    return re.compile(rf"(?<![^\W_])(?:{alternatives})(?![^\W_])", re.IGNORECASE)
+    return re.compile(rf"(?<![^\W_])(?:{_trie_pattern(root)})(?![^\W_])", re.IGNORECASE)
 
 
 def remove_noise(text: str, config: PreprocessConfig) -> str:
@@ -242,4 +294,4 @@ def remove_noise(text: str, config: PreprocessConfig) -> str:
     stopword_re = _stopword_regex(config.stopwords)
     if stopword_re is not None:
         cleaned = stopword_re.sub(" ", cleaned)
-    return re.sub(r"\s+", " ", cleaned).strip()
+    return _SPACE_RUN_RE.sub(" ", cleaned).strip()

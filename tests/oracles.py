@@ -7,6 +7,7 @@ dicts, deliberately sharing no code with the package under test.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -62,6 +63,53 @@ def bm25_rank_brute(all_docs, query, **kwargs) -> list[str]:
     scored = [(doc_id, bm25_score_brute(all_docs, query, doc_id, **kwargs)) for doc_id in all_docs]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [doc_id for doc_id, _ in scored]
+
+
+# ---------------------------------------------------------------------------
+# text processing: the alternation and the per-character loop that the
+# prefix-trie stopword regex and the terminal-run segmentation replace
+
+
+def stopword_regex_brute(words: frozenset[str]) -> re.Pattern:
+    """Every stopword as one alternative, longest first, so the first
+    alternative that matches at a position and passes the guard is the
+    longest such word."""
+    alternatives = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
+    return re.compile(rf"(?<![^\W_])(?:{alternatives})(?![^\W_])", re.IGNORECASE)
+
+
+def segment_sentences_brute(text: str, abbreviations: frozenset[str]) -> list[str]:
+    """Sentence texts, by visiting every character: split after a run of
+    ``. ! ? …`` followed by whitespace and an uppercase letter or digit,
+    unless the token carrying the run is a guarded abbreviation."""
+    terminals = ".!?…"
+    boundaries = []
+    n = len(text)
+    i = 0
+    while i < n:
+        if text[i] not in terminals:
+            i += 1
+            continue
+        j = i + 1
+        while j < n and text[j] in terminals:
+            j += 1
+        k = j
+        while k < n and text[k].isspace():
+            k += 1
+        if k > j and k < n and (text[k].isupper() or text[k].isdigit()):
+            t = i
+            while t > 0 and not text[t - 1].isspace():
+                t -= 1
+            if text[t:j].lower().rstrip(terminals) not in abbreviations:
+                boundaries.append((j, k))
+        i = j
+    pieces = []
+    start = 0
+    for cut, resume in boundaries:
+        pieces.append(text[start:cut])
+        start = resume
+    pieces.append(text[start:])
+    return [piece.strip() for piece in pieces if piece.strip()]
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,50 @@ class TestClassify:
         )
         assert code == 1 and "NOPE" in err
 
+    def test_failed_appeal_reported_and_the_rest_ranked(self, capsys, tiny_themes_file, tmp_path):
+        appeals = tmp_path / "mixed.csv"
+        appeals.write_text(
+            "id,text,theme\n"
+            "A1,discute-se prescrição intercorrente na execução fiscal,T1\n"
+            "A2,a de 1234567 na,T2\n"  # nothing left after noise removal
+            "A3,honorários advocatícios em sucumbência recursal,T2\n",
+            encoding="utf-8",
+        )
+        outputs = []
+        for parallel in ("1", "2"):
+            outdir = tmp_path / f"out{parallel}"
+            code, out, err = run_cli(
+                capsys,
+                "classify",
+                "--appeals",
+                str(appeals),
+                "--themes",
+                str(tiny_themes_file),
+                "--out",
+                str(outdir),
+                "--parallel",
+                parallel,
+            )
+            assert code == 0
+            assert "error:" not in err
+            failures = [line for line in err.splitlines() if line.startswith("failure:")]
+            assert failures == ["failure: A2: text empty after preprocessing"]
+            assert re.findall(r"^appeal (\S+)$", out, re.MULTILINE) == ["A1", "A3"]
+            outputs.append((out, (outdir / "rankings.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = list(csv.reader(outputs[0][1].decode("utf-8").splitlines()))
+        assert [row[0] for row in rows[1:]] == ["A1"] * 3 + ["A3"] * 3
+
+    def test_no_appeal_ranked_is_error(self, capsys, tiny_themes_file):
+        code, out, err = run_cli(
+            capsys, "classify", "--text", "a de 1234567 na", "--themes", str(tiny_themes_file)
+        )
+        assert code == 1 and out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: no appeal ranked (1 failed)"
+        ]
+        assert "failure: inline: text empty after preprocessing" in err
+
 
 class TestEvaluate:
     def evaluate_args(self, appeals, themes, *extra):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import segment_sentences_brute, stopword_regex_brute
 from themerank.textproc import (
+    DEFAULT_ABBREVIATIONS,
     PreprocessConfig,
     RemovalRule,
     default_removal_rules,
@@ -149,3 +154,76 @@ class TestExtractCore:
 def test_unknown_marker_text_with_defaults_is_identity():
     text = "Qualquer texto. Sem marcadores configurados."
     assert extract_core(text, PreprocessConfig()) is text
+
+
+# Characters that re.IGNORECASE treats as one letter, grouped; a stopword set
+# and a text drawn from them put case variants of one letter on different
+# trie branches unless the trie is keyed by case class.
+CASE_VARIANTS = ("aA", "sSſ", "kK\u212a", "iIıİ", "µμΜ", "σςΣ", "ßẞ", "éÉ", "dD", "tT")
+STOPWORD_CHARS = "".join(CASE_VARIANTS) + "'/.-_1"
+
+
+@st.composite
+def stopwords_and_text(draw):
+    words = draw(
+        st.frozensets(st.text(alphabet=STOPWORD_CHARS, min_size=1, max_size=4), max_size=8)
+        | st.sampled_from(
+            [
+                frozenset(),
+                frozenset({"a", "as", "até"}),
+                frozenset({"d'", "d", "da", "c/", "c"}),
+                frozenset({"s", "ſ.x", "k", "\u212a'y", "i", "ı-a"}),
+            ]
+        )
+    )
+
+    def variants(word):
+        groups = [next((g for g in CASE_VARIANTS if ch in g), ch) for ch in word]
+        return st.tuples(*map(st.sampled_from, groups)).map("".join)
+
+    piece = st.text(alphabet=STOPWORD_CHARS + "ǅÉ ", max_size=4) | st.sampled_from(
+        [" ", "", "_", ".", "\u00a0", "\n"]
+    )
+    if words:
+        piece |= st.sampled_from(sorted(words)).flatmap(variants)
+    pieces = draw(st.lists(piece, max_size=12))
+    return words, "".join(pieces)
+
+
+class TestLinearKernelsMatchOracles:
+    """The prefix-trie stopword regex and the terminal-run segmentation give
+    the same output as the alternation and the per-character loop."""
+
+    @given(stopwords_and_text())
+    @settings(max_examples=600, deadline=None)
+    def test_stopword_removal_matches_alternation(self, case):
+        words, text = case
+        config = PreprocessConfig(stopwords=words, removal_patterns=())
+        expected = unicodedata.normalize("NFC", text)
+        if words:
+            expected = stopword_regex_brute(words).sub(" ", expected)
+        expected = re.sub(r"\s+", " ", expected).strip()
+        assert remove_noise(text, config) == expected
+
+    def test_case_variant_on_another_branch_keeps_longest_word(self):
+        # "ſ.x" matches "s.x" under IGNORECASE; an ſ branch apart from the s
+        # branch would stop at "s"
+        config = PreprocessConfig(stopwords=frozenset({"s", "ſ.x"}), removal_patterns=())
+        assert remove_noise("s.x y", config) == "y"
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                [".", "!", "?", "…", "..", " ", "\u00a0", "\u2028", "\n", "art", "fls", "Dr",
+                 "nº", "§", "prazo", "Éxito", "ǅemal", "É", "40", "x"]
+            ),
+            min_size=1,
+            max_size=30,
+        ).map("".join),
+        st.sampled_from([DEFAULT_ABBREVIATIONS, frozenset(), frozenset({"x", "prazo", "art"})]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_segmentation_matches_character_loop(self, text, abbreviations):
+        sentences = segment_sentences(text, abbreviations)
+        assert [s.text for s in sentences] == segment_sentences_brute(text, abbreviations)
+        assert [s.index for s in sentences] == list(range(len(sentences)))
