@@ -22,8 +22,6 @@ from .corpus import (
     write_themes,
 )
 from .lexrank import (
-    CentralityScores,
-    GuidanceScores,
     SentenceGraph,
     Summary,
     SummaryConfig,
@@ -55,7 +53,7 @@ from .ranking import (
     classify_grid,
     write_rankings,
 )
-from .similarity import EmbeddingTable, ThemeScores, cosine, load_embeddings, score_by_bm25, tfidf_vectors
+from .similarity import EmbeddingTable, cosine, load_embeddings, score_by_bm25, tfidf_vectors
 from .textproc import (
     PreprocessConfig,
     Sentence,

@@ -14,7 +14,7 @@ import yaml
 
 from .bm25 import Bm25Params
 from .lexrank import SummaryConfig
-from .ranking import REPRESENTATIONS, SIMILARITY_METHODS, TFIDF_FALLBACK, PipelineConfig, summary_mode
+from .ranking import REPRESENTATIONS, SIMILARITY_METHODS, TFIDF_FALLBACK, PipelineConfig
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
     PreprocessConfig,
@@ -22,6 +22,7 @@ from .textproc import (
     default_removal_rules,
     default_stopwords,
     load_stopwords,
+    stopword_regex,
 )
 
 
@@ -116,15 +117,46 @@ def load_run_config(path: str | None = None) -> dict[str, Any]:
     return merged
 
 
+def _check_keys(config: dict, defaults: dict, path: str, prefix: str = "") -> None:
+    """Every key is one the defaults hold, and every section the defaults
+    hold as a mapping is a mapping."""
+    for key, value in config.items():
+        name = f"{prefix}{key}"
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown key {name!r}")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: {name!r} must be a mapping, got {value!r}")
+            _check_keys(value, defaults[key], path, f"{name}.")
+
+
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+# The shape of each preprocess value besides null: a string where a list is
+# due would be iterated into one-character markers or abbreviations.
+_PREPROCESS_SHAPES = {
+    "stopwords": ("a file path", lambda value: isinstance(value, str)),
+    "removal_patterns": ("a list", lambda value: isinstance(value, list)),
+    "core_start_markers": ("a list of strings", _strings),
+    "core_end_markers": ("a list of strings", _strings),
+    "abbreviations": ("a list of strings", _strings),
+}
+
+
 def _check_shapes(config: dict[str, Any], path: str) -> None:
-    """Every section the defaults hold as a mapping is a mapping, and every
-    grid axis is a list, so that a misshapen value is named, not iterated."""
-    for key, default in DEFAULT_CONFIG.items():
-        if isinstance(default, dict) and not isinstance(config[key], dict):
-            raise ConfigError(f"{path}: {key!r} must be a mapping, got {config[key]!r}")
-    for axis in DEFAULT_CONFIG["grid"]:
-        if not isinstance(config["grid"][axis], list):
-            raise ConfigError(f"{path}: grid axis {axis!r} must be a list, got {config['grid'][axis]!r}")
+    """Keys and sections as the defaults hold them, every grid axis a list
+    and every preprocess value of its shape, so that a misshapen value is
+    named, not iterated."""
+    _check_keys(config, DEFAULT_CONFIG, path)
+    for axis, value in config["grid"].items():
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: grid axis {axis!r} must be a list, got {value!r}")
+    for key, (shape, fits) in _PREPROCESS_SHAPES.items():
+        value = config["preprocess"][key]
+        if value is not None and not fits(value):
+            raise ConfigError(f"{path}: 'preprocess.{key}' must be {shape} or null, got {value!r}")
 
 
 def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
@@ -145,6 +177,10 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
     section = config["preprocess"]
     stopword_path = section["stopwords"]
     stopwords = load_stopwords(stopword_path) if stopword_path else default_stopwords()
+    try:
+        stopword_regex(stopwords)  # once here, not once per appeal
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     raw_patterns = section["removal_patterns"]
     if raw_patterns is None:
@@ -191,7 +227,6 @@ def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
             preprocess=build_preprocess(config),
             representation=config["representation"],
             summary=SummaryConfig(
-                mode=summary_mode(config["representation"]),
                 size=int(summary["size"]),
                 alpha=float(summary["alpha"]),
                 beta=float(summary["beta"]),
@@ -309,10 +344,7 @@ def build_grid(config: dict[str, Any]) -> ExperimentGrid:
 
 
 def cell_config(base: PipelineConfig, cell: GridCell) -> PipelineConfig:
-    """Specialize a base pipeline config to one grid cell.
-
-    PipelineConfig derives the summary mode from the cell's representation.
-    """
+    """Specialize a base pipeline config to one grid cell."""
     summary = base.summary
     if cell.summary_size is not None:
         summary = replace(summary, size=cell.summary_size)

@@ -1,10 +1,10 @@
 """Sentence-graph extractive summarization with optional theme guidance.
 
 A document's sentences form a graph weighted by idf-modified cosine
-similarity. Plain summaries rank sentences by graph centrality alone; guided
-summaries blend that centrality with how strongly each sentence matches the
-theme catalog under BM25, using two weighting factors, and pick the highest
-combined scores.
+similarity. A summary ranks sentences by graph centrality alone, unless it is
+given a theme index: then it is guided, blending that centrality with how
+strongly each sentence matches the theme catalog under BM25, using two
+weighting factors, and picks the highest combined scores.
 
 A summary is an analysis and a selection. The analysis (token lists,
 centrality, guidance) depends only on the document, the graph settings and
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .bm25 import Bm25Index, scores_for_all
 from .textproc import Sentence, tokenize
 
 CENTRALITY_VARIANTS = ("degree", "continuous")
-SUMMARY_MODES = ("plain", "guided")
 
 
 @dataclass(frozen=True)
@@ -37,30 +36,11 @@ class SentenceGraph:
     weights: sparse.csr_matrix
     threshold: float
 
-    def dense(self) -> np.ndarray:
-        return self.weights.toarray()
-
-
-@dataclass(frozen=True)
-class CentralityScores:
-    """Per-sentence centrality under the named variant."""
-
-    gamma: np.ndarray
-    variant: str
-
-
-@dataclass(frozen=True)
-class GuidanceScores:
-    """Per-sentence best BM25 match against the theme catalog."""
-
-    sigma: np.ndarray
-
 
 @dataclass(frozen=True)
 class SummaryConfig:
-    """Summarizer knobs: mode, size and the centrality/guidance weighting."""
+    """Summarizer knobs: size, the centrality/guidance weighting and the graph."""
 
-    mode: str = "guided"
     size: int = 15
     alpha: float = 1.0
     beta: float = 1.0
@@ -71,14 +51,10 @@ class SummaryConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if self.mode not in SUMMARY_MODES:
-            raise ValueError(f"mode must be one of {SUMMARY_MODES}, got {self.mode!r}")
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
-        if self.mode == "guided" and self.alpha + self.beta <= 0:
-            raise ValueError("guided mode requires alpha + beta > 0")
         if self.centrality_variant not in CENTRALITY_VARIANTS:
             raise ValueError(
                 f"centrality_variant must be one of {CENTRALITY_VARIANTS}, "
@@ -108,7 +84,6 @@ class Summary:
     indices: tuple[int, ...]
     order: tuple[int, ...]
     text: str
-    scores: tuple[float, ...] = field(repr=False, default=())
 
 
 def similarity_matrix(
@@ -157,19 +132,18 @@ def similarity_matrix(
     return SentenceGraph(n=n, weights=weights, threshold=threshold)
 
 
-def degree_centrality(graph: SentenceGraph) -> CentralityScores:
+def degree_centrality(graph: SentenceGraph) -> np.ndarray:
     """Fraction of other sentences whose similarity clears the threshold."""
     n = graph.n
     denom = max(n - 1, 1)
     if graph.threshold <= 0.0:
         # every pair satisfies weight >= 0, so all sentences reach full degree
-        gamma = np.full(n, (n - 1) / denom, dtype=float)
-        return CentralityScores(gamma=gamma, variant="degree")
+        return np.full(n, (n - 1) / denom, dtype=float)
 
     matrix = graph.weights.tocoo()
     mask = (matrix.data >= graph.threshold) & (matrix.row != matrix.col)
     degrees = np.bincount(matrix.row[mask], minlength=n).astype(float)
-    return CentralityScores(gamma=degrees / denom, variant="degree")
+    return degrees / denom
 
 
 def continuous_centrality(
@@ -177,7 +151,7 @@ def continuous_centrality(
     damping: float = 0.85,
     tolerance: float = 1e-8,
     max_iterations: int = 1000,
-) -> CentralityScores:
+) -> np.ndarray:
     """Stationary distribution of the row-normalized similarity walk.
 
     Rows are normalized to transition probabilities (all-zero rows become
@@ -203,11 +177,10 @@ def continuous_centrality(
         x = nxt
     else:
         raise RuntimeError(f"power iteration did not converge in {max_iterations} iterations")
-    x = x / x.sum()
-    return CentralityScores(gamma=x, variant="continuous")
+    return x / x.sum()
 
 
-def centrality(graph: SentenceGraph, config: SummaryConfig) -> CentralityScores:
+def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
     if config.centrality_variant == "continuous":
         return continuous_centrality(
             graph, config.damping, config.tolerance, config.max_iterations
@@ -217,13 +190,13 @@ def centrality(graph: SentenceGraph, config: SummaryConfig) -> CentralityScores:
 
 def guidance_scores(
     sentences: Sequence[Sequence[str]], theme_index: Bm25Index
-) -> GuidanceScores:
+) -> np.ndarray:
     """Best BM25 score of each sentence used as a query against every theme."""
     sigma = np.zeros(len(sentences))
     for i, tokens in enumerate(sentences):
         if tokens:
             sigma[i] = scores_for_all(theme_index, tokens).max()
-    return GuidanceScores(sigma=sigma)
+    return sigma
 
 
 def _max_normalize(values: np.ndarray) -> np.ndarray:
@@ -232,16 +205,16 @@ def _max_normalize(values: np.ndarray) -> np.ndarray:
 
 
 def combined_scores(
-    gamma: CentralityScores, sigma: GuidanceScores, alpha: float, beta: float
+    gamma: np.ndarray, sigma: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
     """Weighted blend of max-normalized centrality and guidance scores."""
-    if len(gamma.gamma) != len(sigma.sigma):
+    if len(gamma) != len(sigma):
         raise ValueError(
-            f"length mismatch: {len(gamma.gamma)} centrality vs {len(sigma.sigma)} guidance scores"
+            f"length mismatch: {len(gamma)} centrality vs {len(sigma)} guidance scores"
         )
     if alpha + beta <= 0:
         raise ValueError("alpha + beta must be > 0")
-    return alpha * _max_normalize(gamma.gamma) + beta * _max_normalize(sigma.sigma)
+    return alpha * _max_normalize(gamma) + beta * _max_normalize(sigma)
 
 
 def select_top(scores: np.ndarray, size: int) -> list[int]:
@@ -258,17 +231,17 @@ class SentenceAnalysis:
     def __init__(self, sentences: Sequence[Sentence]):
         self.sentences = tuple(sentences)
         self.tokens = [tokenize(s.text) for s in self.sentences]
-        self._gamma: dict[tuple, CentralityScores] = {}
-        self._sigma: tuple[Bm25Index, GuidanceScores] | None = None
+        self._gamma: dict[tuple, np.ndarray] = {}
+        self._sigma: tuple[Bm25Index, np.ndarray] | None = None
 
-    def gamma(self, config: SummaryConfig) -> CentralityScores:
+    def gamma(self, config: SummaryConfig) -> np.ndarray:
         key = config.graph_settings
         if key not in self._gamma:
             graph = similarity_matrix(self.tokens, threshold=config.threshold)
             self._gamma[key] = centrality(graph, config)
         return self._gamma[key]
 
-    def sigma(self, theme_index: Bm25Index) -> GuidanceScores:
+    def sigma(self, theme_index: Bm25Index) -> np.ndarray:
         if self._sigma is None or self._sigma[0] is not theme_index:
             self._sigma = (theme_index, guidance_scores(self.tokens, theme_index))
         return self._sigma[1]
@@ -279,25 +252,17 @@ def select(
     config: SummaryConfig,
     theme_index: Bm25Index | None = None,
 ) -> Summary:
-    """The summary of ``config``'s mode, size and weights, drawn from an
-    analysed document; its sentences are re-joined in document order."""
-    if config.mode == "guided" and theme_index is None:
-        raise ValueError("guided summarization requires a theme index")
-    gamma = analysis.gamma(config)
-    if config.mode == "guided":
-        scores = combined_scores(gamma, analysis.sigma(theme_index), config.alpha, config.beta)
-    else:
-        scores = gamma.gamma
+    """The summary of ``config``'s size, drawn from an analysed document and
+    re-joined in document order. It is guided exactly when ``theme_index``
+    is given: then ``config``'s weights blend centrality with guidance."""
+    scores = analysis.gamma(config)
+    if theme_index is not None:
+        scores = combined_scores(scores, analysis.sigma(theme_index), config.alpha, config.beta)
 
     order = select_top(scores, config.size)
     indices = sorted(order)
     text = " ".join(analysis.sentences[i].text for i in indices)
-    return Summary(
-        indices=tuple(indices),
-        order=tuple(order),
-        text=text,
-        scores=tuple(float(s) for s in scores),
-    )
+    return Summary(indices=tuple(indices), order=tuple(order), text=text)
 
 
 def summarize(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -36,11 +36,6 @@ _QUERY_KEY = "\x00query"
 
 class PipelineError(ValueError):
     """Raised when one appeal cannot be classified under the given config."""
-
-
-def summary_mode(representation: str) -> str:
-    """The summarizer mode a representation runs: only guided_lexrank uses theme guidance."""
-    return "guided" if representation == "guided_lexrank" else "plain"
 
 
 @dataclass(frozen=True)
@@ -72,11 +67,8 @@ class PipelineConfig:
                 "cosine similarity requires an embedding_source "
                 f"(a file path or {TFIDF_FALLBACK!r})"
             )
-        mode = summary_mode(self.representation)
-        if self.summary.mode != mode:
-            # the representation decides the mode; a summary config written
-            # for another representation is rebased onto it here
-            object.__setattr__(self, "summary", replace(self.summary, mode=mode))
+        if self.representation == "guided_lexrank" and self.summary.alpha + self.summary.beta <= 0:
+            raise ValueError("guided_lexrank requires alpha + beta > 0")
 
 
 @dataclass(frozen=True)
@@ -139,11 +131,8 @@ def _representation_tokens(
 ) -> list[str]:
     if config.representation == "fulltext":
         return tokenize(analysis.cleaned)
-    summary = select(
-        analysis.sentences,
-        config.summary,
-        theme_index=prepared.index if config.summary.mode == "guided" else None,
-    )
+    theme_index = prepared.index if config.representation == "guided_lexrank" else None
+    summary = select(analysis.sentences, config.summary, theme_index)
     return tokenize(summary.text)
 
 
@@ -202,7 +191,7 @@ def classify_appeal(
         analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
     rep_tokens = _representation_tokens(analysis, config, prepared)
     if config.similarity_method == "bm25":
-        scores = score_by_bm25(rep_tokens, prepared.index).scores
+        scores = score_by_bm25(rep_tokens, prepared.index)
     else:
         scores = _cosine_scores(appeal, rep_tokens, config, prepared)
     ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))

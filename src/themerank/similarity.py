@@ -27,21 +27,10 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
-class ThemeScores:
-    """Per-theme relatedness scores for one appeal representation."""
-
-    scores: dict[str, float]
-    method: str
-
-
-def score_by_bm25(summary_tokens: Sequence[str], theme_index: Bm25Index) -> ThemeScores:
+def score_by_bm25(summary_tokens: Sequence[str], theme_index: Bm25Index) -> dict[str, float]:
     """Score the representation as a BM25 query against every indexed theme."""
     totals = scores_for_all(theme_index, summary_tokens)
-    return ThemeScores(
-        scores={doc_id: float(totals[i]) for i, doc_id in enumerate(theme_index.doc_ids)},
-        method="bm25",
-    )
+    return {doc_id: float(totals[i]) for i, doc_id in enumerate(theme_index.doc_ids)}
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -253,7 +253,7 @@ def _trie_pattern(node: dict) -> str:
 
 
 @lru_cache(maxsize=16)
-def _stopword_regex(words: frozenset[str]) -> re.Pattern | None:
+def stopword_regex(words: frozenset[str]) -> re.Pattern | None:
     """One regex for a stopword set, its words factored as a prefix trie.
 
     The trie is keyed by case class, so all the words that can match at one
@@ -263,8 +263,8 @@ def _stopword_regex(words: frozenset[str]) -> re.Pattern | None:
     word at every word start. Entries may span punctuation (``d'``).
 
     Groups nest once per branch point or word end along an entry, so only a
-    set holding hundreds of nested prefixes of one entry would exceed
-    Python's recursion limit when the pattern compiles.
+    set holding hundreds of nested prefixes of one entry exceeds Python's
+    recursion limit while the pattern is built; that raises ValueError.
     """
     if not words:
         return None
@@ -276,7 +276,13 @@ def _stopword_regex(words: frozenset[str]) -> re.Pattern | None:
             node = node.setdefault(classes[ch], {})
         node[""] = {}
     # custom word boundary: underscore counts as a separator, unlike \b
-    return re.compile(rf"(?<![^\W_])(?:{_trie_pattern(root)})(?![^\W_])", re.IGNORECASE)
+    try:
+        return re.compile(rf"(?<![^\W_])(?:{_trie_pattern(root)})(?![^\W_])", re.IGNORECASE)
+    except RecursionError:
+        raise ValueError(
+            "stopword set cannot compile: its entries nest too many prefixes of one "
+            "another for Python's recursion limit"
+        ) from None
 
 
 def remove_noise(text: str, config: PreprocessConfig) -> str:
@@ -291,7 +297,7 @@ def remove_noise(text: str, config: PreprocessConfig) -> str:
     cleaned = unicodedata.normalize("NFC", text)
     for rule in config.removal_patterns:
         cleaned = rule.pattern.sub(" ", cleaned)
-    stopword_re = _stopword_regex(config.stopwords)
+    stopword_re = stopword_regex(config.stopwords)
     if stopword_re is not None:
         cleaned = stopword_re.sub(" ", cleaned)
     return _SPACE_RUN_RE.sub(" ", cleaned).strip()

@@ -122,12 +122,12 @@ def test_criterion_3_centrality_numerics():
             np.fill_diagonal(weights, 1.0)
             graph = graph_from_dense(weights, threshold=0.3)
 
-            gamma = continuous_centrality(graph, damping=0.85, tolerance=1e-8).gamma
+            gamma = continuous_centrality(graph, damping=0.85, tolerance=1e-8)
             expected = stationary_brute(weights, 0.85)
             assert np.all(np.abs(gamma - expected) < 1e-6)
             assert abs(gamma.sum() - 1.0) <= 1e-9
 
-            degrees = degree_centrality(graph).gamma
+            degrees = degree_centrality(graph)
             assert degrees.tolist() == degree_brute(weights.tolist(), 0.3)
 
 
@@ -172,26 +172,26 @@ def test_criterion_5_guided_limiting_cases():
             index = build_index(list(themes.items()))
             size = rng.randint(1, len(sentences))
 
-            plain = summarize(sentences, SummaryConfig(mode="plain", size=size))
+            plain = summarize(sentences, SummaryConfig(size=size))
             beta_zero = summarize(
                 sentences,
-                SummaryConfig(mode="guided", size=size, alpha=1.0, beta=0.0),
+                SummaryConfig(size=size, alpha=1.0, beta=0.0),
                 theme_index=index,
             )
             assert set(beta_zero.indices) == set(plain.indices)
 
             alpha_zero = summarize(
                 sentences,
-                SummaryConfig(mode="guided", size=size, alpha=0.0, beta=1.0),
+                SummaryConfig(size=size, alpha=0.0, beta=1.0),
                 theme_index=index,
             )
-            sigma = guidance_scores(token_lists, index).sigma
+            sigma = guidance_scores(token_lists, index)
             by_sigma = sorted(range(len(sigma)), key=lambda i: (-sigma[i], i))[:size]
             assert list(alpha_zero.order) == by_sigma
 
             both = summarize(
                 sentences,
-                SummaryConfig(mode="guided", size=size, alpha=1.0, beta=1.0),
+                SummaryConfig(size=size, alpha=1.0, beta=1.0),
                 theme_index=index,
             )
             expected = guided_selection_brute(token_lists, themes, 1.0, 1.0, size)
@@ -218,7 +218,7 @@ def test_criterion_6_pipeline_determinism(synthetic_corpus_100, tmp_path):
 
 GUIDED_CONFIG = PipelineConfig(
     representation="guided_lexrank",
-    summary=SummaryConfig(mode="guided", size=15, alpha=1.0, beta=1.0),
+    summary=SummaryConfig(size=15, alpha=1.0, beta=1.0),
     similarity_method="bm25",
     k=6,
 )

@@ -718,6 +718,32 @@ class TestOneLineErrors:
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert "'summary' must be a mapping, got 5" in err
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("preprocess:\n  core_start_markers: RELATÓRIO\n", "'preprocess.core_start_markers' must be a list"),
+            ("preprocess:\n  abbreviations: art\n", "'preprocess.abbreviations' must be a list"),
+            ("summary:\n  mode: plain\n", "unknown key 'summary.mode'"),
+        ],
+    )
+    def test_misshapen_config_value(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, body, message
+    ):
+        config = tmp_path / "run.yaml"
+        config.write_text(body, encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
+        assert message in err
+
+    def test_stopword_set_that_cannot_compile(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("".join("a" * i + "\n" for i in range(1, 400)), encoding="utf-8")
+        config = tmp_path / "run.yaml"
+        config.write_text(f"preprocess:\n  stopwords: {stopwords}\n", encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
+        assert "recursion limit" in err
+
 
 class TestSummaryMode:
     def evaluate(self, capsys, appeals, themes, representation):

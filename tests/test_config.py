@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
+import yaml
 
 from themerank.config import (
+    DEFAULT_CONFIG,
     ConfigError,
     ExperimentGrid,
     GridCell,
@@ -13,6 +18,7 @@ from themerank.config import (
     cell_config,
     load_run_config,
 )
+from themerank.lexrank import SummaryConfig
 from themerank.ranking import PipelineConfig
 from themerank.textproc import load_stopwords
 
@@ -64,6 +70,72 @@ class TestLoadRunConfig:
         with pytest.raises(ConfigError, match=f"grid axis '{axis}' must be a list, got 'remove'"):
             load_run_config(str(path))
 
+    @pytest.mark.parametrize(
+        "key", ["core_start_markers", "core_end_markers", "abbreviations", "removal_patterns"]
+    )
+    def test_string_for_a_list_names_it(self, tmp_path, key):
+        # a string would be iterated into one-character markers or abbreviations
+        path = tmp_path / "run.yaml"
+        path.write_text(f"preprocess:\n  {key}: RELATÓRIO\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"'preprocess.{key}' must be a list"):
+            load_run_config(str(path))
+
+    def test_markers_must_be_strings(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("preprocess:\n  core_end_markers: [1, 2]\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="'preprocess.core_end_markers' must be a list of strings"):
+            load_run_config(str(path))
+
+    def test_stopwords_must_be_a_path(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("preprocess:\n  stopwords: [de, da]\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="'preprocess.stopwords' must be a file path or null"):
+            load_run_config(str(path))
+
+    def test_lists_and_nulls_accepted(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            "preprocess:\n  core_start_markers: [RELATÓRIO]\n  core_end_markers: null\n"
+            "  abbreviations: [art]\n  removal_patterns: null\n  stopwords: null\n",
+            encoding="utf-8",
+        )
+        preprocess = build_preprocess(load_run_config(str(path)))
+        assert preprocess.core_start_markers == ("RELATÓRIO",)
+        assert preprocess.core_end_markers == ()
+        assert preprocess.abbreviations == frozenset({"art"})
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("summary:\n  mode: plain\n", "summary.mode"),
+            ("summary:\n  treshold: 0.2\n", "summary.treshold"),
+            ("representations: [lexrank]\n", "representations"),
+            ("appeal_columns:\n  label: theme\n", "appeal_columns.label"),
+        ],
+    )
+    def test_unknown_key_named(self, tmp_path, body, key):
+        path = tmp_path / "run.yaml"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            load_run_config(str(path))
+
+    def test_readme_config_block_holds_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Run configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+        def key_paths(mapping, prefix=()):
+            paths = set()
+            for key, value in mapping.items():
+                paths.add(prefix + (key,))
+                if isinstance(value, dict):
+                    paths |= key_paths(value, prefix + (key,))
+            return paths
+
+        assert key_paths(yaml.safe_load(block)) == key_paths(DEFAULT_CONFIG)
+        path = tmp_path / "readme.yaml"
+        path.write_text(block, encoding="utf-8")
+        build_pipeline(load_run_config(str(path)))
+
 
 class TestOverrides:
     def test_flags_win(self):
@@ -94,9 +166,9 @@ class TestBuildPipeline:
         config = load_run_config(None)
         config["representation"] = "lexrank"
         config["summary"].update({"alpha": 0.0, "beta": 0.0})
-        assert build_pipeline(config).summary.mode == "plain"
+        assert build_pipeline(config).summary == SummaryConfig(alpha=0.0, beta=0.0)
         config["representation"] = "guided_lexrank"
-        with pytest.raises(ConfigError, match="alpha"):
+        with pytest.raises(ConfigError, match="guided_lexrank requires alpha \\+ beta > 0"):
             build_pipeline(config)
 
     def test_bm25_section(self):
@@ -225,7 +297,7 @@ class TestGrid:
         assert specialized.summary.size == 7
         assert specialized.similarity_method == "cosine"
         assert specialized.embedding_source == "tfidf"
-        assert specialized.summary.mode == "plain"
+        assert specialized.summary == replace(base.summary, size=7)
 
     def test_cell_config_fulltext_keeps_base_size(self):
         base = build_pipeline(load_run_config(None))

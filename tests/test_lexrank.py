@@ -45,17 +45,17 @@ def random_token_lists(rng: random.Random, max_sentences=10, vocab=12):
 class TestSimilarityMatrix:
     def test_identical_sentences(self):
         graph = similarity_matrix([["a", "b"], ["a", "b"]])
-        assert graph.dense()[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert graph.weights.toarray()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_vocabulary(self):
         graph = similarity_matrix([["a", "b"], ["c", "d"]])
-        assert graph.dense()[0, 1] == 0.0
+        assert graph.weights.toarray()[0, 1] == 0.0
 
     def test_three_sentence_hand_values(self):
         graph = similarity_matrix(
             [["réu", "pagou", "dívida"], ["réu", "negou", "dívida"], ["corte", "julgou", "caso"]]
         )
-        dense = graph.dense()
+        dense = graph.weights.toarray()
         assert dense[0, 1] == pytest.approx(0.472859485454, abs=1e-10)
         assert dense[0, 2] == 0.0
         assert np.allclose(np.diag(dense), 1.0)
@@ -64,7 +64,7 @@ class TestSimilarityMatrix:
         rng = random.Random(17)
         for _ in range(25):
             token_lists = random_token_lists(rng)
-            dense = similarity_matrix(token_lists).dense()
+            dense = similarity_matrix(token_lists).weights.toarray()
             expected = np.array(sentence_similarity_brute(token_lists))
             assert np.allclose(dense, expected, atol=1e-10)
 
@@ -72,13 +72,13 @@ class TestSimilarityMatrix:
         rng = random.Random(29)
         for _ in range(10):
             token_lists = random_token_lists(rng)
-            dense = similarity_matrix(token_lists).dense()
+            dense = similarity_matrix(token_lists).weights.toarray()
             assert np.array_equal(dense, dense.T)
             assert np.all(np.diag(dense) == 1.0)
             assert np.all((dense >= 0.0) & (dense <= 1.0))
 
     def test_empty_sentence_gets_zero_row(self):
-        dense = similarity_matrix([["a", "b"], [], ["a"]]).dense()
+        dense = similarity_matrix([["a", "b"], [], ["a"]]).weights.toarray()
         assert np.all(dense[1] == 0.0) and np.all(dense[:, 1] == 0.0)
 
     def test_permutation_equivariant(self):
@@ -86,8 +86,8 @@ class TestSimilarityMatrix:
         token_lists = random_token_lists(rng, max_sentences=6)
         perm = list(range(len(token_lists)))
         rng.shuffle(perm)
-        base = similarity_matrix(token_lists).dense()
-        shuffled = similarity_matrix([token_lists[i] for i in perm]).dense()
+        base = similarity_matrix(token_lists).weights.toarray()
+        shuffled = similarity_matrix([token_lists[i] for i in perm]).weights.toarray()
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-12)
 
     def test_all_empty_rejected(self):
@@ -99,24 +99,24 @@ class TestDegreeCentrality:
     def test_complete_graph(self):
         weights = np.full((4, 4), 0.9)
         np.fill_diagonal(weights, 1.0)
-        gamma = degree_centrality(graph_from_dense(weights)).gamma
+        gamma = degree_centrality(graph_from_dense(weights))
         assert np.all(gamma == 1.0)
 
     def test_star_graph(self):
         weights = np.eye(5)
         weights[0, 1:] = weights[1:, 0] = 0.5
         weights[1:, 1:] += 0.05 - 0.05 * np.eye(4)  # below threshold
-        gamma = degree_centrality(graph_from_dense(weights, threshold=0.1)).gamma
+        gamma = degree_centrality(graph_from_dense(weights, threshold=0.1))
         assert gamma[0] == 1.0
         assert np.all(gamma[1:] == 0.25)
 
     def test_single_sentence(self):
-        gamma = degree_centrality(graph_from_dense([[1.0]])).gamma
+        gamma = degree_centrality(graph_from_dense([[1.0]]))
         assert gamma.tolist() == [0.0]
 
     def test_zero_threshold_counts_everything(self):
         weights = np.eye(3)
-        gamma = degree_centrality(graph_from_dense(weights, threshold=0.0)).gamma
+        gamma = degree_centrality(graph_from_dense(weights, threshold=0.0))
         assert np.all(gamma == 1.0)
 
     def test_raising_threshold_never_increases_degree(self):
@@ -126,7 +126,7 @@ class TestDegreeCentrality:
         np.fill_diagonal(weights, 1.0)
         previous = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-            gamma = degree_centrality(graph_from_dense(weights, threshold=threshold)).gamma
+            gamma = degree_centrality(graph_from_dense(weights, threshold=threshold))
             if previous is not None:
                 assert np.all(gamma <= previous + 1e-12)
             previous = gamma
@@ -138,14 +138,14 @@ class TestDegreeCentrality:
             weights = rng.uniform(0, 1, (n, n))
             weights = (weights + weights.T) / 2
             np.fill_diagonal(weights, 1.0)
-            gamma = degree_centrality(graph_from_dense(weights, threshold=0.4)).gamma
+            gamma = degree_centrality(graph_from_dense(weights, threshold=0.4))
             assert gamma.tolist() == degree_brute(weights.tolist(), 0.4)
 
 
 class TestContinuousCentrality:
     def test_uniform_graph(self):
         weights = np.ones((4, 4))
-        gamma = continuous_centrality(graph_from_dense(weights)).gamma
+        gamma = continuous_centrality(graph_from_dense(weights))
         assert np.allclose(gamma, 0.25, atol=1e-12)
 
     def test_sums_to_one(self):
@@ -154,7 +154,7 @@ class TestContinuousCentrality:
             n = int(rng.integers(2, 12))
             weights = rng.uniform(0, 1, (n, n))
             weights = (weights + weights.T) / 2
-            gamma = continuous_centrality(graph_from_dense(weights)).gamma
+            gamma = continuous_centrality(graph_from_dense(weights))
             assert abs(gamma.sum() - 1.0) < 1e-9
             assert np.all(gamma >= 0.0)
 
@@ -165,13 +165,13 @@ class TestContinuousCentrality:
             weights = rng.uniform(0, 1, (n, n))
             weights = (weights + weights.T) / 2
             np.fill_diagonal(weights, 1.0)
-            gamma = continuous_centrality(graph_from_dense(weights), damping=0.85).gamma
+            gamma = continuous_centrality(graph_from_dense(weights), damping=0.85)
             expected = stationary_brute(weights, 0.85)
             assert np.allclose(gamma, expected, atol=1e-6)
 
     def test_zero_row_replaced_by_uniform(self):
         weights = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.8], [0.0, 0.8, 1.0]])
-        gamma = continuous_centrality(graph_from_dense(weights)).gamma
+        gamma = continuous_centrality(graph_from_dense(weights))
         expected = stationary_brute(weights, 0.85)
         assert np.allclose(gamma, expected, atol=1e-6)
 
@@ -192,7 +192,7 @@ class TestContinuousCentrality:
 class TestGuidanceScores:
     def test_no_shared_tokens(self):
         index = build_index([("T1", ["tema", "um"]), ("T2", ["tema", "dois"])])
-        sigma = guidance_scores([["nada", "aqui"]], index).sigma
+        sigma = guidance_scores([["nada", "aqui"]], index)
         assert sigma.tolist() == [0.0]
 
     def test_singleton_catalog_equals_direct_score(self):
@@ -200,12 +200,12 @@ class TestGuidanceScores:
 
         index = build_index([("T1", ["prescrição", "fiscal"])])
         sentence = ["a", "prescrição", "ocorreu"]
-        sigma = guidance_scores([sentence], index).sigma
+        sigma = guidance_scores([sentence], index)
         assert sigma[0] == score(index, sentence, "T1")
 
     def test_empty_sentence_scores_zero(self):
         index = build_index([("T1", ["a"])])
-        assert guidance_scores([[]], index).sigma.tolist() == [0.0]
+        assert guidance_scores([[]], index).tolist() == [0.0]
 
     def test_matches_brute_force_max(self):
         from oracles import bm25_score_brute
@@ -215,53 +215,43 @@ class TestGuidanceScores:
         index = build_index(list(themes.items()))
         for _ in range(20):
             sentence = [rng.choice(["a", "b", "c", "x"]) for _ in range(5)]
-            sigma = guidance_scores([sentence], index).sigma[0]
+            sigma = guidance_scores([sentence], index)[0]
             expected = max(bm25_score_brute(themes, sentence, t) for t in themes)
             assert sigma == pytest.approx(expected, abs=1e-12)
 
 
 class TestCombinedScores:
-    def _centrality(self, values):
-        from themerank.lexrank import CentralityScores
-
-        return CentralityScores(gamma=np.asarray(values, dtype=float), variant="degree")
-
-    def _guidance(self, values):
-        from themerank.lexrank import GuidanceScores
-
-        return GuidanceScores(sigma=np.asarray(values, dtype=float))
-
     def test_hand_arithmetic(self):
-        combined = combined_scores(self._centrality([1.0, 0.5]), self._guidance([0.0, 1.0]), 1, 1)
+        combined = combined_scores(np.array([1.0, 0.5]), np.array([0.0, 1.0]), 1, 1)
         assert combined.tolist() == [1.0, 1.5]
 
     def test_beta_zero_matches_centrality_ranking(self):
         gamma = [0.2, 0.9, 0.4]
-        combined = combined_scores(self._centrality(gamma), self._guidance([5.0, 0.1, 3.0]), 1, 0)
+        combined = combined_scores(np.array(gamma), np.array([5.0, 0.1, 3.0]), 1, 0)
         assert np.argsort(-combined).tolist() == np.argsort(-np.asarray(gamma)).tolist()
 
     def test_alpha_zero_matches_guidance_ranking(self):
         sigma = [5.0, 0.1, 3.0]
-        combined = combined_scores(self._centrality([0.2, 0.9, 0.4]), self._guidance(sigma), 0, 1)
+        combined = combined_scores(np.array([0.2, 0.9, 0.4]), np.array(sigma), 0, 1)
         assert np.argsort(-combined).tolist() == np.argsort(-np.asarray(sigma)).tolist()
 
     def test_argmax_invariant_under_common_rescaling(self):
-        gamma, sigma = self._centrality([0.2, 0.8, 0.5]), self._guidance([3.0, 1.0, 2.0])
+        gamma, sigma = np.array([0.2, 0.8, 0.5]), np.array([3.0, 1.0, 2.0])
         base = combined_scores(gamma, sigma, 1.0, 2.0)
         scaled = combined_scores(gamma, sigma, 3.0, 6.0)
         assert np.argmax(base) == np.argmax(scaled)
 
     def test_all_zero_vector_stays_zero(self):
-        combined = combined_scores(self._centrality([0.0, 0.0]), self._guidance([0.0, 0.0]), 1, 1)
+        combined = combined_scores(np.array([0.0, 0.0]), np.array([0.0, 0.0]), 1, 1)
         assert combined.tolist() == [0.0, 0.0]
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            combined_scores(self._centrality([1.0]), self._guidance([1.0, 2.0]), 1, 1)
+            combined_scores(np.array([1.0]), np.array([1.0, 2.0]), 1, 1)
 
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
-            combined_scores(self._centrality([1.0]), self._guidance([1.0]), 0, 0)
+            combined_scores(np.array([1.0]), np.array([1.0]), 0, 0)
 
 
 def make_sentences(texts):
@@ -271,26 +261,21 @@ def make_sentences(texts):
 class TestSummarize:
     def test_size_at_least_n_keeps_document_order(self):
         sentences = make_sentences(["Um texto.", "Outro texto.", "Mais um texto."])
-        summary = summarize(sentences, SummaryConfig(mode="plain", size=10))
+        summary = summarize(sentences, SummaryConfig(size=10))
         assert summary.indices == (0, 1, 2)
         assert summary.text == "Um texto. Outro texto. Mais um texto."
 
     def test_plain_full_size_is_identity(self):
         sentences = make_sentences(["A b c.", "B c d.", "C d e.", "D e f."])
-        summary = summarize(sentences, SummaryConfig(mode="plain", size=4))
+        summary = summarize(sentences, SummaryConfig(size=4))
         assert summary.indices == (0, 1, 2, 3)
-
-    def test_guided_requires_theme_index(self):
-        sentences = make_sentences(["Um texto."])
-        with pytest.raises(ValueError, match="theme index"):
-            summarize(sentences, SummaryConfig(mode="guided", size=1))
 
     def test_guided_alpha_zero_prefers_theme_match(self):
         index = build_index([("T1", ["prescrição", "intercorrente"])])
         sentences = make_sentences(
             ["Fato banal ocorreu. ", "Houve prescrição intercorrente.", "Nada relevante aqui."]
         )
-        config = SummaryConfig(mode="guided", size=1, alpha=0.0, beta=1.0)
+        config = SummaryConfig(size=1, alpha=0.0, beta=1.0)
         summary = summarize(sentences, config, theme_index=index)
         assert summary.order[0] == 1
 
@@ -301,10 +286,10 @@ class TestSummarize:
             token_lists = random_token_lists(rng, max_sentences=8)
             sentences = make_sentences([" ".join(toks) for toks in token_lists])
             size = rng.randint(1, len(sentences))
-            plain = summarize(sentences, SummaryConfig(mode="plain", size=size))
+            plain = summarize(sentences, SummaryConfig(size=size))
             guided = summarize(
                 sentences,
-                SummaryConfig(mode="guided", size=size, alpha=1.0, beta=0.0),
+                SummaryConfig(size=size, alpha=1.0, beta=0.0),
                 theme_index=index,
             )
             assert set(guided.indices) == set(plain.indices)
@@ -321,7 +306,7 @@ class TestSummarize:
             token_lists = random_token_lists(rng, max_sentences=6)
             sentences = make_sentences([" ".join(toks) for toks in token_lists])
             size = rng.randint(1, len(sentences))
-            config = SummaryConfig(mode="guided", size=size, alpha=1.0, beta=1.0)
+            config = SummaryConfig(size=size, alpha=1.0, beta=1.0)
             summary = summarize(sentences, config, theme_index=index)
             expected = guided_selection_brute(token_lists, theme_docs, 1.0, 1.0, size)
             assert list(summary.order) == expected
@@ -338,7 +323,7 @@ class TestSummarize:
             "Tema outro aqui presente.",
         ]
         sentences = make_sentences(texts)
-        config = SummaryConfig(mode="guided", size=2, alpha=1.0, beta=1.0)
+        config = SummaryConfig(size=2, alpha=1.0, beta=1.0)
         summary = summarize(sentences, config, theme_index=index)
         expected = guided_selection_brute(
             [t.lower().replace(".", "").split() for t in texts], theme_docs, 1.0, 1.0, 2
@@ -347,7 +332,7 @@ class TestSummarize:
 
     def test_ties_break_by_ascending_index(self):
         sentences = make_sentences(["Mesma frase aqui.", "Mesma frase aqui.", "Mesma frase aqui."])
-        summary = summarize(sentences, SummaryConfig(mode="plain", size=2))
+        summary = summarize(sentences, SummaryConfig(size=2))
         assert summary.indices == (0, 1)
 
     def test_output_reordered_by_position(self):
@@ -355,7 +340,7 @@ class TestSummarize:
         sentences = make_sentences(
             ["Nada de mais. ", "Comum banal corriqueiro.", "Final importante decisivo."]
         )
-        config = SummaryConfig(mode="guided", size=2, alpha=0.0, beta=1.0)
+        config = SummaryConfig(size=2, alpha=0.0, beta=1.0)
         summary = summarize(sentences, config, theme_index=index)
         assert summary.indices == tuple(sorted(summary.indices))
         assert isinstance(summary, Summary)
@@ -383,16 +368,15 @@ class TestSharedAnalysis:
             analysis = SentenceAnalysis(sentences)
             graphs.clear()
             configs = [
-                SummaryConfig(mode=mode, size=size, alpha=alpha, beta=beta, threshold=threshold)
-                for mode in ("plain", "guided")
+                SummaryConfig(size=size, alpha=alpha, beta=beta, threshold=threshold)
                 for size in (1, 3, 20)
                 for alpha, beta in ((1.0, 1.0), (0.0, 2.0), (0.5, 0.0))
                 for threshold in (0.1, 0.3)
             ]
             for config in configs:
-                for theme_index in (index, other_index):
+                for theme_index in (None, index, other_index):
                     assert select(analysis, config, theme_index) == summarize(
                         sentences, config, theme_index
                     )
-            fresh = 2 * len(configs)  # one graph per summarize call
+            fresh = 3 * len(configs)  # one graph per summarize call
             assert len(graphs) == 2 + fresh  # one per threshold from the shared analysis

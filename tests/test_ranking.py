@@ -131,8 +131,8 @@ class TestClassifyAppeal:
         assert list(memo) == [removing.preprocess]
 
     def test_guided_without_alpha_beta_invalid(self):
-        with pytest.raises(ValueError):
-            SummaryConfig(mode="guided", alpha=0.0, beta=0.0)
+        with pytest.raises(ValueError, match="alpha \\+ beta > 0"):
+            PipelineConfig(summary=SummaryConfig(alpha=0.0, beta=0.0))
 
 
 class TestCosinePath:

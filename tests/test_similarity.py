@@ -21,9 +21,7 @@ from themerank.similarity import (
 class TestScoreByBm25:
     def test_no_shared_tokens_all_zero(self):
         index = build_index([("T1", ["um"]), ("T2", ["dois"])])
-        result = score_by_bm25(["nada", "aqui"], index)
-        assert result.scores == {"T1": 0.0, "T2": 0.0}
-        assert result.method == "bm25"
+        assert score_by_bm25(["nada", "aqui"], index) == {"T1": 0.0, "T2": 0.0}
 
     def test_verbatim_theme_attains_maximum(self):
         themes = {
@@ -32,22 +30,21 @@ class TestScoreByBm25:
             "T3": ["contribuição", "previdenciária"],
         }
         index = build_index(list(themes.items()))
-        result = score_by_bm25(themes["T1"], index)
-        assert max(result.scores, key=result.scores.get) == "T1"
+        scores = score_by_bm25(themes["T1"], index)
+        assert max(scores, key=scores.get) == "T1"
 
     def test_key_set_is_exactly_the_catalog(self):
         index = build_index([("T1", ["a"]), ("T2", ["b"]), ("T3", ["c"])])
-        result = score_by_bm25(["a", "b"], index)
-        assert set(result.scores) == {"T1", "T2", "T3"}
+        assert set(score_by_bm25(["a", "b"], index)) == {"T1", "T2", "T3"}
 
     def test_matches_per_theme_brute_force(self):
         rng = random.Random(61)
         themes = {f"T{i}": [rng.choice("abcdef") for _ in range(5)] for i in range(3)}
         index = build_index(list(themes.items()))
         query = ["a", "c", "e", "zz"]
-        result = score_by_bm25(query, index)
+        scores = score_by_bm25(query, index)
         for theme_id in themes:
-            assert result.scores[theme_id] == pytest.approx(
+            assert scores[theme_id] == pytest.approx(
                 bm25_score_brute(themes, query, theme_id), abs=1e-12
             )
 

@@ -17,6 +17,7 @@ from themerank.textproc import (
     extract_core,
     remove_noise,
     segment_sentences,
+    stopword_regex,
     tokenize,
 )
 
@@ -210,6 +211,12 @@ class TestLinearKernelsMatchOracles:
         # branch would stop at "s"
         config = PreprocessConfig(stopwords=frozenset({"s", "ſ.x"}), removal_patterns=())
         assert remove_noise("s.x y", config) == "y"
+
+    def test_deeply_nested_prefixes_raise_value_error(self):
+        # one group per word end along an entry: 399 nested prefixes exceed
+        # Python's recursion limit while the pattern is built
+        with pytest.raises(ValueError, match="recursion limit"):
+            stopword_regex(frozenset("a" * i for i in range(1, 400)))
 
     @given(
         st.lists(
