@@ -5,6 +5,9 @@ Two idf variants are exposed: ``nonnegative`` (default) uses
 ``epsilon_floor`` uses the raw log-odds idf with negative values replaced by
 ``epsilon`` times the mean of the positive idf values. Scores accumulate in
 ascending lexicographic term order so results are bit-reproducible.
+
+Reference: Robertson & Zaragoza 2009, *The Probabilistic Relevance
+Framework: BM25 and Beyond*.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 IDF_VARIANTS = ("nonnegative", "epsilon_floor")
 
@@ -64,14 +69,23 @@ class Bm25Index:
         self._position = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         self._idf = _idf_table(doc_freq, len(doc_ids), params)
 
-        # per-term score contribution of each document, zero where absent
+        # W: the score contribution of each (term, document) pair, one row
+        # per term in lexicographic order, zero where the term is absent
+        self.terms = tuple(sorted(doc_freq))
+        self._row = {term: i for i, term in enumerate(self.terms)}
+        rows = np.array([self._row[term] for tf_map in term_frequencies for term in tf_map])
+        cols = np.repeat(np.arange(len(doc_ids)), [len(tf_map) for tf_map in term_frequencies])
+        tf = np.fromiter(
+            chain.from_iterable(tf_map.values() for tf_map in term_frequencies),
+            dtype=float,
+            count=len(rows),
+        )
+        idf = np.array([self._idf[term] for term in self.terms])
         norm = params.k1 * (1.0 - params.b + params.b * doc_lengths / self.avg_doc_length)
-        self._term_weights = {term: np.zeros(len(doc_ids)) for term in doc_freq}
-        for pos, tf_map in enumerate(term_frequencies):
-            for term, tf in tf_map.items():
-                self._term_weights[term][pos] = (
-                    self._idf[term] * tf * (params.k1 + 1.0) / (tf + norm[pos])
-                )
+        values = idf[rows] * tf * (params.k1 + 1.0) / (tf + norm[cols])
+        self.weights = sparse.csr_matrix(
+            (values, (rows, cols)), shape=(len(self.terms), len(doc_ids))
+        )
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -137,6 +151,24 @@ def build_index(
     )
 
 
+def query_matrix(index: Bm25Index, queries: Sequence[Sequence[str]]) -> sparse.csr_matrix:
+    """Binary queries x terms matrix over the index's term rows.
+
+    Each row stores its columns ascending, which is lexicographic term order;
+    a sparse product with ``index.weights`` adds each document's per-term
+    contributions in that stored order, the order :func:`score` adds them.
+    """
+    row_of = index._row
+    indices: list[int] = []
+    indptr = [0]
+    for query in queries:
+        indices.extend(sorted({row_of[term] for term in set(query) if term in row_of}))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(len(queries), len(index.terms))
+    )
+
+
 def score(index: Bm25Index, query: Sequence[str], doc_id: str) -> float:
     """BM25 score of one document for a free-text query.
 
@@ -145,9 +177,9 @@ def score(index: Bm25Index, query: Sequence[str], doc_id: str) -> float:
     pos = index.position(doc_id)
     total = 0.0
     for term in sorted(set(query)):
-        weights = index._term_weights.get(term)
-        if weights is not None:
-            total += weights[pos]
+        row = index._row.get(term)
+        if row is not None:
+            total += index.weights[row, pos]
     return float(total)
 
 
@@ -155,14 +187,13 @@ def scores_for_all(index: Bm25Index, query: Sequence[str]) -> np.ndarray:
     """Scores of every indexed document, in index order.
 
     Accumulates the same per-term contributions as :func:`score`, in the same
-    lexicographic term order, so both paths agree bit for bit.
+    lexicographic term order, so both paths agree bit for bit: the binary
+    query row times ``W`` visits the rows of ``W`` in order, and a term the
+    query lacks adds an exact zero.
     """
-    totals = np.zeros(len(index))
-    for term in sorted(set(query)):
-        weights = index._term_weights.get(term)
-        if weights is not None:
-            totals = totals + weights
-    return totals
+    query_row = np.zeros(len(index.terms))
+    query_row[[index._row[term] for term in set(query) if term in index._row]] = 1.0
+    return index.weights.T @ query_row
 
 
 def rank(index: Bm25Index, query: Sequence[str]) -> list[tuple[str, float]]:

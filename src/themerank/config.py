@@ -117,9 +117,25 @@ def load_run_config(path: str | None = None) -> dict[str, Any]:
     return merged
 
 
+def _scalar_shape(default: Any) -> tuple[str, Any] | None:
+    """What a scalar key must hold, by the type of its default; None for
+    lists and null defaults, which have shapes of their own."""
+    if isinstance(default, bool):
+        return "true or false", lambda value: isinstance(value, bool)
+    if isinstance(default, int):
+        return "an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return "a number", lambda value: (
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+        )
+    if isinstance(default, str):
+        return "a string", lambda value: isinstance(value, str)
+    return None
+
+
 def _check_keys(config: dict, defaults: dict, path: str, prefix: str = "") -> None:
-    """Every key is one the defaults hold, and every section the defaults
-    hold as a mapping is a mapping."""
+    """Every key is one the defaults hold, every section the defaults hold
+    as a mapping is a mapping, and every scalar is of its default's type."""
     for key, value in config.items():
         name = f"{prefix}{key}"
         if key not in defaults:
@@ -128,35 +144,43 @@ def _check_keys(config: dict, defaults: dict, path: str, prefix: str = "") -> No
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}: {name!r} must be a mapping, got {value!r}")
             _check_keys(value, defaults[key], path, f"{name}.")
+            continue
+        shape = _scalar_shape(defaults[key])
+        if shape is not None and not shape[1](value):
+            raise ConfigError(f"{path}: {name!r} must be {shape[0]}, got {value!r}")
 
 
 def _strings(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
-# The shape of each preprocess value besides null: a string where a list is
-# due would be iterated into one-character markers or abbreviations.
-_PREPROCESS_SHAPES = {
-    "stopwords": ("a file path", lambda value: isinstance(value, str)),
-    "removal_patterns": ("a list", lambda value: isinstance(value, list)),
-    "core_start_markers": ("a list of strings", _strings),
-    "core_end_markers": ("a list of strings", _strings),
-    "abbreviations": ("a list of strings", _strings),
+# The shape of each value with a null default besides null: a string where a
+# list is due would be iterated into one-character markers or abbreviations.
+_NULLABLE_SHAPES = {
+    ("embeddings",): ("a file path", lambda value: isinstance(value, str)),
+    ("preprocess", "stopwords"): ("a file path", lambda value: isinstance(value, str)),
+    ("preprocess", "removal_patterns"): ("a list", lambda value: isinstance(value, list)),
+    ("preprocess", "core_start_markers"): ("a list of strings", _strings),
+    ("preprocess", "core_end_markers"): ("a list of strings", _strings),
+    ("preprocess", "abbreviations"): ("a list of strings", _strings),
 }
 
 
 def _check_shapes(config: dict[str, Any], path: str) -> None:
-    """Keys and sections as the defaults hold them, every grid axis a list
-    and every preprocess value of its shape, so that a misshapen value is
-    named, not iterated."""
+    """Keys, sections and scalars as the defaults hold them, every grid axis
+    a list and every nullable value of its shape, so that a misshapen value
+    is named, not iterated or converted."""
     _check_keys(config, DEFAULT_CONFIG, path)
     for axis, value in config["grid"].items():
         if not isinstance(value, list):
             raise ConfigError(f"{path}: grid axis {axis!r} must be a list, got {value!r}")
-    for key, (shape, fits) in _PREPROCESS_SHAPES.items():
-        value = config["preprocess"][key]
+    for keys, (shape, fits) in _NULLABLE_SHAPES.items():
+        value = config
+        for key in keys:
+            value = value[key]
         if value is not None and not fits(value):
-            raise ConfigError(f"{path}: 'preprocess.{key}' must be {shape} or null, got {value!r}")
+            name = ".".join(keys)
+            raise ConfigError(f"{path}: {name!r} must be {shape} or null, got {value!r}")
 
 
 def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:
@@ -188,14 +212,17 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
     else:
         patterns = []
         for entry in raw_patterns:
-            try:
-                name, pattern = entry["name"], entry["pattern"]
-            except (TypeError, KeyError):
+            if not (
+                isinstance(entry, dict)
+                and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("pattern"), str)
+            ):
                 raise ConfigError(
-                    "each removal_patterns entry needs 'name' and 'pattern' keys"
-                ) from None
+                    "each 'preprocess.removal_patterns' entry needs string 'name' and "
+                    f"'pattern' values, got {entry!r}"
+                )
             try:
-                patterns.append(RemovalRule.compile(name, pattern))
+                patterns.append(RemovalRule.compile(entry["name"], entry["pattern"]))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         patterns = tuple(patterns)

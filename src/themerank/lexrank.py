@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .bm25 import Bm25Index, scores_for_all
+from .bm25 import Bm25Index, query_matrix
 from .textproc import Sentence, tokenize
 
 CENTRALITY_VARIANTS = ("degree", "continuous")
@@ -191,12 +191,15 @@ def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
 def guidance_scores(
     sentences: Sequence[Sequence[str]], theme_index: Bm25Index
 ) -> np.ndarray:
-    """Best BM25 score of each sentence used as a query against every theme."""
-    sigma = np.zeros(len(sentences))
-    for i, tokens in enumerate(sentences):
-        if tokens:
-            sigma[i] = scores_for_all(theme_index, tokens).max()
-    return sigma
+    """Best BM25 score of each sentence used as a query against every theme.
+
+    One sparse product scores every sentence against every theme, adding
+    the terms in the order ``scores_for_all`` does, so σ equals the
+    per-sentence maxima bit for bit. Weights are >= 0, so the row maximum
+    over stored entries and implicit zeros is the maximum over all themes.
+    """
+    products = query_matrix(theme_index, sentences) @ theme_index.weights
+    return products.max(axis=1).toarray().ravel()
 
 
 def _max_normalize(values: np.ndarray) -> np.ndarray:

@@ -24,14 +24,13 @@ from .bm25 import Bm25Index, Bm25Params, build_index
 from .corpus import AppealRecord, ThemeCatalog
 from .lexrank import SentenceAnalysis, SummaryConfig, select
 from .lexrank import summarize  # noqa: F401  perfbench/spans.py wraps it at this binding
-from .similarity import EmbeddingTable, cosine, load_embeddings, score_by_bm25, tfidf_vectors
+from .similarity import EmbeddingCosine, TfidfCosine, load_embeddings, score_by_bm25
+from .similarity import cosine, tfidf_vectors  # noqa: F401  perfbench/spans.py wraps them here
 from .textproc import PreprocessConfig, extract_core, remove_noise, segment_sentences, tokenize
 
 REPRESENTATIONS = ("fulltext", "lexrank", "guided_lexrank")
 SIMILARITY_METHODS = ("bm25", "cosine")
 TFIDF_FALLBACK = "tfidf"
-
-_QUERY_KEY = "\x00query"
 
 
 class PipelineError(ValueError):
@@ -84,12 +83,19 @@ class RankedThemeList:
 
 @dataclass(frozen=True)
 class PreparedThemes:
-    """Per-run shared state: tokenized themes, their BM25 index, embeddings."""
+    """Per-run shared state: tokenized themes, their BM25 index and the
+    cosine side of the run's embedding file, if it has one."""
 
     catalog: ThemeCatalog
     tokens: dict[str, list[str]]
     index: Bm25Index
-    embeddings: EmbeddingTable | None
+    embeddings: EmbeddingCosine | None
+
+    @cached_property
+    def tfidf(self) -> TfidfCosine:
+        """The TF-IDF cosine side, built on first use: configs that share
+        this state need not score by cosine."""
+        return TfidfCosine([self.tokens[theme.id] for theme in self.catalog])
 
 
 def _embedding_file(config: PipelineConfig) -> str | None:
@@ -106,7 +112,10 @@ def prepare_themes(catalog: ThemeCatalog, config: PipelineConfig) -> PreparedThe
     tokens = {theme.id: tokenize(theme.text) for theme in catalog}
     index = build_index([(theme.id, tokens[theme.id]) for theme in catalog], config.bm25)
     embedding_file = _embedding_file(config)
-    embeddings = load_embeddings(embedding_file) if embedding_file is not None else None
+    embeddings = None
+    if embedding_file is not None:
+        table = load_embeddings(embedding_file)
+        embeddings = EmbeddingCosine(table, [theme.id for theme in catalog], embedding_file)
     return PreparedThemes(catalog=catalog, tokens=tokens, index=index, embeddings=embeddings)
 
 
@@ -145,27 +154,16 @@ def _cosine_scores(
     if config.embedding_source == TFIDF_FALLBACK:
         if not rep_tokens:
             raise PipelineError("no tokens left for vectorization")
-        table = tfidf_vectors(
-            [(_QUERY_KEY, rep_tokens)]
-            + [(theme.id, prepared.tokens[theme.id]) for theme in prepared.catalog]
-        )
-        query_vector = table.vectors[_QUERY_KEY]
+        scores = prepared.tfidf.scores(rep_tokens)
     else:
-        table = prepared.embeddings
-        query_vector = table.vectors.get(appeal.id)
-        if query_vector is None:
+        query = prepared.embeddings.table.vectors.get(appeal.id)
+        if query is None:
             raise PipelineError(f"no embedding in {config.embedding_source}")
-
-    scores = {}
-    for theme in prepared.catalog:
-        theme_vector = table.vectors.get(theme.id)
-        if theme_vector is None:
-            raise PipelineError(f"theme {theme.id!r}: no embedding in {config.embedding_source}")
         try:
-            scores[theme.id] = cosine(query_vector, theme_vector)
+            scores = prepared.embeddings.scores(query)
         except ValueError as exc:
-            raise PipelineError(f"theme {theme.id!r}: {exc}") from exc
-    return scores
+            raise PipelineError(str(exc)) from exc
+    return {theme.id: float(value) for theme, value in zip(prepared.catalog, scores)}
 
 
 def classify_appeal(

@@ -4,6 +4,9 @@ Two routes: the representation's tokens as a BM25 query against a theme
 index, or cosine similarity over vector representations. Vectors come either
 from a precomputed embedding file or from the built-in TF-IDF vectorizer;
 this package never runs an embedding model itself.
+
+The theme side of each route is built once per catalog, so scoring one
+appeal against every theme is one sparse or dense product.
 """
 
 from __future__ import annotations
@@ -11,10 +14,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .bm25 import Bm25Index, scores_for_all
 
@@ -141,3 +146,91 @@ def tfidf_vectors(texts: Sequence[tuple[str, Sequence[str]]]) -> EmbeddingTable:
             vector[col] = tf * idf[col]
         vectors[doc_id] = vector
     return EmbeddingTable(dimension=len(vocab), vectors=vectors)
+
+
+class TfidfCosine:
+    """TF-IDF cosine of a query against every theme, theme side built once.
+
+    Equal to ``cosine`` over ``tfidf_vectors([query, *themes])`` to rounding:
+    df counts the themes plus the query, ``N = len(themes) + 1`` and
+    ``idf = ln(N / df) + 1``. The query adds 1 to df of its own terms only,
+    so a theme's squared norm is a base over the theme-only idf, corrected
+    on the query's terms, and its dot product with the query is one
+    mat-vec over those terms.
+    """
+
+    def __init__(self, themes: Sequence[Sequence[str]]):
+        counts = [Counter(tokens) for tokens in themes]
+        df: Counter = Counter()
+        for c in counts:
+            df.update(c.keys())
+        self.vocab = {term: i for i, term in enumerate(sorted(df))}
+        rows, cols, tfs = [], [], []
+        for row, c in enumerate(counts):
+            rows += [row] * len(c)
+            cols += [self.vocab[term] for term in c]
+            tfs += c.values()
+        shape = (len(counts), len(self.vocab))
+        self.tf = sparse.csr_matrix((np.asarray(tfs, dtype=float), (rows, cols)), shape=shape)
+        self.tf_squared = self.tf.power(2)
+
+        n = len(counts) + 1
+        theme_df = np.array([df[term] for term in self.vocab], dtype=float)
+        idf_themes = np.log(n / theme_df) + 1.0  # terms the query lacks
+        self.idf_shared = np.log(n / (theme_df + 1.0)) + 1.0  # terms it holds
+        self.idf_query_only = math.log(n) + 1.0
+        self.idf_shift = self.idf_shared**2 - idf_themes**2
+        self.base_norms = self.tf_squared @ idf_themes**2
+
+    def scores(self, query: Sequence[str]) -> np.ndarray:
+        """Cosine of a non-empty query against every theme, in theme order;
+        clamped to [-1, 1]."""
+        counts = Counter(query)
+        cols = np.fromiter(map(self.vocab.get, counts, repeat(-1)), dtype=np.intp, count=len(counts))
+        tf = np.fromiter(counts.values(), dtype=float, count=len(counts))
+        known = cols >= 0
+        cols, query_only = cols[known], tf[~known]
+        weighted = tf[known] * self.idf_shared[cols]
+        query_norm = weighted @ weighted + (query_only @ query_only) * self.idf_query_only**2
+
+        step = np.zeros(len(self.vocab))
+        step[cols] = weighted * self.idf_shared[cols]
+        dots = self.tf @ step
+        step[:] = 0.0
+        step[cols] = self.idf_shift[cols]
+        theme_norms = self.base_norms + self.tf_squared @ step
+        return np.clip(dots / (math.sqrt(query_norm) * np.sqrt(theme_norms)), -1.0, 1.0)
+
+
+class EmbeddingCosine:
+    """Cosine of an embedding against every theme's, theme side built once.
+
+    The theme vectors are stacked in catalog order with their norms. A
+    catalog with a theme that has no vector, or a zero-norm one, cannot be
+    scored: :meth:`scores` names the first such theme in catalog order.
+    """
+
+    def __init__(self, table: EmbeddingTable, theme_ids: Sequence[str], source: str):
+        self.table = table
+        self.source = source
+        self.unusable = None
+        self.matrix = np.zeros((len(theme_ids), table.dimension))
+        for row, theme_id in enumerate(theme_ids):
+            vector = table.vectors.get(theme_id)
+            if vector is None:
+                self.unusable = f"theme {theme_id!r}: no embedding in {source}"
+                break
+            if np.linalg.norm(vector) == 0.0:
+                self.unusable = f"theme {theme_id!r}: cosine is undefined for zero-norm vectors"
+                break
+            self.matrix[row] = vector
+        self.norms = np.linalg.norm(self.matrix, axis=1)
+
+    def scores(self, query: np.ndarray) -> np.ndarray:
+        """Cosine against every theme, in catalog order; clamped to [-1, 1]."""
+        if self.unusable is not None:
+            raise ValueError(self.unusable)
+        norm = np.linalg.norm(query)
+        if norm == 0.0:
+            raise ValueError(f"embedding in {self.source} has zero norm")
+        return np.clip(self.matrix @ query / (self.norms * norm), -1.0, 1.0)

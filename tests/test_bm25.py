@@ -3,7 +3,10 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import bm25_rank_brute, bm25_score_brute
 from themerank.bm25 import Bm25Params, build_index, rank, score, scores_for_all
@@ -87,6 +90,22 @@ class TestScore:
             bulk = scores_for_all(index, query)
             for pos, doc_id in enumerate(index.doc_ids):
                 assert score(index, query, doc_id) == bulk[pos]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=15), min_size=1, max_size=8
+        ),
+        query=st.lists(st.sampled_from("abcdefghxyz"), max_size=12),
+        variant=st.sampled_from(["nonnegative", "epsilon_floor"]),
+    )
+    def test_bulk_equals_single_scores_bitwise_on_indexed_terms(self, docs, query, variant):
+        # queries drawn from the indexed vocabulary, so the per-term sums
+        # are non-trivial and their order shows in the last bits
+        index = build_index([(f"d{i}", t) for i, t in enumerate(docs)], Bm25Params(idf_variant=variant))
+        bulk = scores_for_all(index, query)
+        single = [score(index, query, doc_id) for doc_id in index.doc_ids]
+        assert bulk.tobytes() == np.array(single).tobytes()
 
 
 class TestIdfVariants:

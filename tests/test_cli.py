@@ -724,6 +724,11 @@ class TestOneLineErrors:
             ("preprocess:\n  core_start_markers: RELATÓRIO\n", "'preprocess.core_start_markers' must be a list"),
             ("preprocess:\n  abbreviations: art\n", "'preprocess.abbreviations' must be a list"),
             ("summary:\n  mode: plain\n", "unknown key 'summary.mode'"),
+            ("k: [1]\n", "'k' must be an integer, got [1]"),
+            (
+                "preprocess:\n  removal_patterns: [{name: x, pattern: 5}]\n",
+                "each 'preprocess.removal_patterns' entry needs string 'name' and 'pattern' values",
+            ),
         ],
     )
     def test_misshapen_config_value(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -118,6 +119,30 @@ class TestLoadRunConfig:
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_run_config(str(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("k: 6.5\n", "'k' must be an integer, got 6.5"),
+            ("k: true\n", "'k' must be an integer, got True"),
+            ("summary:\n  alpha: [1]\n", "'summary.alpha' must be a number, got [1]"),
+            ("summary:\n  tolerance: 1e-8\n", "'summary.tolerance' must be a number, got '1e-8'"),
+            ("preprocess:\n  remove_terms: keep\n", "'preprocess.remove_terms' must be true or false"),
+            ("representation: [lexrank]\n", "'representation' must be a string"),
+            ("appeal_columns:\n  id: 3\n", "'appeal_columns.id' must be a string, got 3"),
+            ("embeddings: [a.tsv]\n", "'embeddings' must be a file path or null"),
+        ],
+    )
+    def test_scalar_of_the_wrong_type_named(self, tmp_path, body, message):
+        path = tmp_path / "run.yaml"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_run_config(str(path))
+
+    def test_int_accepted_where_a_float_is_due(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("summary:\n  alpha: 2\n", encoding="utf-8")
+        assert build_pipeline(load_run_config(str(path))).summary.alpha == 2.0
 
     def test_readme_config_block_holds_every_key(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import (
@@ -12,7 +14,7 @@ from oracles import (
     sentence_similarity_brute,
     stationary_brute,
 )
-from themerank.bm25 import build_index
+from themerank.bm25 import Bm25Params, build_index, scores_for_all
 from themerank import lexrank
 from themerank.lexrank import (
     SentenceAnalysis,
@@ -218,6 +220,23 @@ class TestGuidanceScores:
             sigma = guidance_scores([sentence], index)[0]
             expected = max(bm25_score_brute(themes, sentence, t) for t in themes)
             assert sigma == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        themes=st.lists(
+            st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12), min_size=1, max_size=8
+        ),
+        sentences=st.lists(st.lists(st.sampled_from("abcdefgxyz"), max_size=10), max_size=10),
+        variant=st.sampled_from(["nonnegative", "epsilon_floor"]),
+    )
+    def test_equals_per_sentence_bulk_scores_bitwise(self, themes, sentences, variant):
+        # the sparse product against per-sentence scores_for_all maxima,
+        # with empty sentences and tokens no theme holds
+        docs = [(f"T{i}", tokens) for i, tokens in enumerate(themes)]
+        index = build_index(docs, Bm25Params(idf_variant=variant))
+        expected = [scores_for_all(index, tokens).max() for tokens in sentences]
+        sigma = guidance_scores(sentences, index)
+        assert sigma.tobytes() == np.array(expected, dtype=float).tobytes()
 
 
 class TestCombinedScores:

@@ -185,6 +185,23 @@ class TestCosinePath:
         with pytest.raises(PipelineError, match="theme 'T2'"):
             classify_appeal(AppealRecord("A1", "texto"), catalog, config)
 
+    def test_zero_norm_appeal_embedding_blames_the_appeal(self, tmp_path):
+        catalog = catalog_of(("T1", "um"), ("T2", "dois"))
+        table = EmbeddingTable(
+            dimension=2,
+            vectors={
+                "A1": np.array([0.0, 0.0]),
+                "T1": np.array([0.5, 0.5]),
+                "T2": np.array([0.0, 1.0]),
+            },
+        )
+        path = tmp_path / "emb.tsv"
+        write_embeddings(path, table)
+        config = replace(PLAIN_CONFIG, similarity_method="cosine", embedding_source=str(path))
+        with pytest.raises(PipelineError) as raised:
+            classify_appeal(AppealRecord("A1", "texto"), catalog, config)
+        assert str(raised.value) == f"embedding in {path} has zero norm"
+
 
 class TestClassifyCorpus:
     def test_two_in_two_out_order_preserved(self):

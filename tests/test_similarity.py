@@ -5,11 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import bm25_score_brute
 from themerank.bm25 import build_index
 from themerank.similarity import (
+    EmbeddingCosine,
     EmbeddingTable,
+    TfidfCosine,
     cosine,
     load_embeddings,
     score_by_bm25,
@@ -166,3 +170,88 @@ class TestTfidfVectors:
     def test_duplicate_id_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             tfidf_vectors([("a", ["x"]), ("a", ["y"])])
+
+
+def tfidf_cosines_slow(themes, query):
+    """Reference: a vocabulary and dense vectors over the query plus the
+    themes, then one cosine per theme."""
+    table = tfidf_vectors([("query", query)] + [(f"T{i}", t) for i, t in enumerate(themes)])
+    return [cosine(table.vectors["query"], table.vectors[f"T{i}"]) for i in range(len(themes))]
+
+
+theme_token_lists = st.lists(
+    st.lists(st.sampled_from("abcdef"), min_size=1, max_size=10), min_size=1, max_size=8
+)
+
+
+class TestTfidfCosine:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        themes=theme_token_lists,
+        query=st.lists(st.sampled_from("abcdefxyz"), min_size=1, max_size=30),
+        every_theme_term=st.booleans(),
+    )
+    @example(themes=[["a", "b", "a"]], query=["a", "x", "x"], every_theme_term=False)
+    @example(themes=[["a"], ["b", "c"]], query=["c"], every_theme_term=True)
+    def test_matches_tfidf_vectors_and_cosine(self, themes, query, every_theme_term):
+        # query-only terms (x, y, z), repeated terms, and optionally a query
+        # that holds every theme term
+        if every_theme_term:
+            query = query + sorted({term for tokens in themes for term in tokens})
+        got = TfidfCosine(themes).scores(query)
+        assert got.shape == (len(themes),)
+        assert np.abs(got - tfidf_cosines_slow(themes, query)).max() <= 1e-12
+
+
+def embedding_cosines_slow(table, theme_ids, query):
+    return [cosine(query, table.vectors[theme_id]) for theme_id in theme_ids]
+
+
+vectors_3d = st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 0.0
+)
+
+
+class TestEmbeddingCosine:
+    @settings(max_examples=200, deadline=None)
+    @given(themes=st.lists(vectors_3d, min_size=1, max_size=8), query=vectors_3d)
+    def test_matches_per_theme_cosine(self, themes, query):
+        theme_ids = [f"T{i}" for i in range(len(themes))]
+        table = EmbeddingTable(3, {t: np.array(v) for t, v in zip(theme_ids, themes)})
+        got = EmbeddingCosine(table, theme_ids, "emb.tsv").scores(np.array(query))
+        expected = embedding_cosines_slow(table, theme_ids, np.array(query))
+        assert np.abs(got - expected).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["ok", "missing", "zero"]), min_size=1, max_size=6),
+        query=vectors_3d,
+    )
+    def test_first_unusable_theme_named_as_the_loop_did(self, kinds, query):
+        theme_ids = [f"T{i}" for i in range(len(kinds))]
+        vectors = {}
+        for theme_id, kind in zip(theme_ids, kinds):
+            if kind != "missing":
+                vectors[theme_id] = np.zeros(3) if kind == "zero" else np.array([1.0, 2.0, 0.5])
+        table = EmbeddingTable(3, vectors)
+        fast = EmbeddingCosine(table, theme_ids, "emb.tsv")
+        # reference per-theme loop: the first theme in catalog order without
+        # a vector or with a zero-norm one names the failure
+        expected = None
+        for theme_id in theme_ids:
+            if theme_id not in vectors:
+                expected = f"theme {theme_id!r}: no embedding in emb.tsv"
+                break
+            try:
+                cosine(np.array(query), vectors[theme_id])
+            except ValueError as exc:
+                expected = f"theme {theme_id!r}: {exc}"
+                break
+        if expected is None:
+            assert np.abs(
+                fast.scores(np.array(query)) - embedding_cosines_slow(table, theme_ids, np.array(query))
+            ).max() <= 1e-12
+        else:
+            with pytest.raises(ValueError) as raised:
+                fast.scores(np.array(query))
+            assert str(raised.value) == expected
