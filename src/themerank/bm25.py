@@ -1,4 +1,4 @@
-"""Okapi-style BM25 scoring over an immutable term-statistics index.
+"""Okapi-style BM25 scoring over an immutable index of per-term weights.
 
 Two idf variants are exposed: ``nonnegative`` (default) uses
 ``ln(1 + (N - df + 0.5) / (df + 0.5))`` and never yields negative scores;
@@ -13,13 +13,13 @@ Framework: BM25 and Beyond*.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+
+from .textproc import term_counts
 
 IDF_VARIANTS = ("nonnegative", "epsilon_floor")
 
@@ -50,42 +50,38 @@ class Bm25Params:
 
 
 class Bm25Index:
-    """Immutable term statistics over a document set, built by build_index."""
+    """BM25 weights over a document set, built by build_index from the
+    documents' ``terms`` and docs x terms ``counts`` (see ``term_counts``).
+
+    ``weights`` (W) holds the score contribution of each (term, document)
+    pair, one row per term in lexicographic order, zero where the term is
+    absent. A term's document frequency is its count column's non-zeros and
+    a document's length its count row's sum.
+    """
 
     def __init__(
         self,
         doc_ids: tuple[str, ...],
-        term_frequencies: tuple[dict[str, int], ...],
-        doc_lengths: np.ndarray,
-        doc_freq: dict[str, int],
+        terms: tuple[str, ...],
+        counts: sparse.csr_matrix,
         params: Bm25Params,
     ):
         self.doc_ids = doc_ids
-        self.term_frequencies = term_frequencies
-        self.doc_lengths = doc_lengths
-        self.avg_doc_length = float(doc_lengths.mean())
-        self.doc_freq = doc_freq
+        self.terms = terms
+        self.counts = counts
         self.params = params
         self._position = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        self._idf = _idf_table(doc_freq, len(doc_ids), params)
+        self._row = {term: i for i, term in enumerate(terms)}
+        self.idfs = _idf(counts.getnnz(axis=0), len(doc_ids), params)
 
-        # W: the score contribution of each (term, document) pair, one row
-        # per term in lexicographic order, zero where the term is absent
-        self.terms = tuple(sorted(doc_freq))
-        self._row = {term: i for i, term in enumerate(self.terms)}
-        rows = np.array([self._row[term] for tf_map in term_frequencies for term in tf_map])
-        cols = np.repeat(np.arange(len(doc_ids)), [len(tf_map) for tf_map in term_frequencies])
-        tf = np.fromiter(
-            chain.from_iterable(tf_map.values() for tf_map in term_frequencies),
-            dtype=float,
-            count=len(rows),
-        )
-        idf = np.array([self._idf[term] for term in self.terms])
-        norm = params.k1 * (1.0 - params.b + params.b * doc_lengths / self.avg_doc_length)
-        values = idf[rows] * tf * (params.k1 + 1.0) / (tf + norm[cols])
+        lengths = np.asarray(counts.sum(axis=1)).ravel()
+        norm = params.k1 * (1.0 - params.b + params.b * lengths / lengths.mean())
+        tf = counts.data
+        docs = np.repeat(np.arange(len(doc_ids)), np.diff(counts.indptr))
+        values = self.idfs[counts.indices] * tf * (params.k1 + 1.0) / (tf + norm[docs])
         self.weights = sparse.csr_matrix(
-            (values, (rows, cols)), shape=(len(self.terms), len(doc_ids))
-        )
+            (values, counts.indices, counts.indptr), shape=counts.shape
+        ).T.tocsr()
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -97,21 +93,22 @@ class Bm25Index:
             raise ValueError(f"unknown doc_id {doc_id!r}") from None
 
     def idf(self, term: str) -> float:
-        return self._idf.get(term, 0.0)
+        row = self._row.get(term)
+        return 0.0 if row is None else float(self.idfs[row])
 
 
-def _idf_table(doc_freq: dict[str, int], n_docs: int, params: Bm25Params) -> dict[str, float]:
+def _idf(doc_freq: np.ndarray, n_docs: int, params: Bm25Params) -> np.ndarray:
+    """Each term's idf on ``math.log``, as the transcribed formula has it.
+    The epsilon floor's mean is summed with ``math.fsum``, which does not
+    depend on term order."""
     if params.idf_variant == "nonnegative":
-        return {
-            term: math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
-            for term, df in doc_freq.items()
-        }
-    raw = {
-        term: math.log((n_docs - df + 0.5) / (df + 0.5)) for term, df in doc_freq.items()
-    }
-    positive = [v for v in raw.values() if v > 0.0]
-    floor = params.epsilon * (sum(positive) / len(positive)) if positive else 0.0
-    return {term: (v if v >= 0.0 else floor) for term, v in raw.items()}
+        return np.array(
+            [math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5)) for df in doc_freq.tolist()]
+        )
+    raw = np.array([math.log((n_docs - df + 0.5) / (df + 0.5)) for df in doc_freq.tolist()])
+    positive = raw[raw > 0.0]
+    floor = params.epsilon * (math.fsum(positive) / len(positive)) if len(positive) else 0.0
+    return np.where(raw >= 0.0, raw, floor)
 
 
 def build_index(
@@ -123,12 +120,6 @@ def build_index(
     """
     if not docs:
         raise ValueError("cannot build a BM25 index over an empty document set")
-    params = params or Bm25Params()
-
-    doc_ids = []
-    term_frequencies = []
-    lengths = []
-    doc_freq: Counter = Counter()
     seen = set()
     for doc_id, tokens in docs:
         if doc_id in seen:
@@ -136,19 +127,8 @@ def build_index(
         if not tokens:
             raise ValueError(f"document {doc_id!r} has zero tokens")
         seen.add(doc_id)
-        tf = dict(Counter(tokens))
-        doc_ids.append(doc_id)
-        term_frequencies.append(tf)
-        lengths.append(len(tokens))
-        doc_freq.update(tf.keys())
-
-    return Bm25Index(
-        tuple(doc_ids),
-        tuple(term_frequencies),
-        np.asarray(lengths, dtype=float),
-        dict(doc_freq),
-        params,
-    )
+    terms, counts = term_counts([tokens for _, tokens in docs])
+    return Bm25Index(tuple(doc_id for doc_id, _ in docs), terms, counts, params or Bm25Params())
 
 
 def query_matrix(index: Bm25Index, queries: Sequence[Sequence[str]]) -> sparse.csr_matrix:

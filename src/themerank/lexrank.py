@@ -15,7 +15,6 @@ several sizes and weights can share one analysis.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .bm25 import Bm25Index, query_matrix
-from .textproc import Sentence, tokenize
+from .textproc import Sentence, term_counts, tokenize
 
 CENTRALITY_VARIANTS = ("degree", "continuous")
 
@@ -98,26 +97,11 @@ def similarity_matrix(
     n = len(sentences)
     if n < 1:
         raise ValueError("similarity_matrix requires at least one sentence")
-    counts = [Counter(tokens) for tokens in sentences]
-    if all(not c for c in counts):
+    terms, matrix = term_counts(sentences)
+    if not terms:
         raise ValueError("all sentences are empty")
-
-    df: Counter = Counter()
-    for c in counts:
-        df.update(c.keys())
-    vocab = {term: i for i, term in enumerate(sorted(df))}
-    idf = np.empty(len(vocab))
-    for term, col in vocab.items():
-        idf[col] = math.log(n / df[term]) + 1.0
-
-    rows, cols, data = [], [], []
-    for i, c in enumerate(counts):
-        for term, tf in c.items():
-            col = vocab[term]
-            rows.append(i)
-            cols.append(col)
-            data.append(tf * idf[col])
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, len(vocab)))
+    idf = np.array([math.log(n / df) + 1.0 for df in matrix.getnnz(axis=0).tolist()])
+    matrix.data *= idf[matrix.indices]
 
     norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
     scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0)

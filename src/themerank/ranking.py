@@ -20,6 +20,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .bm25 import Bm25Index, Bm25Params, build_index
 from .corpus import AppealRecord, ThemeCatalog
 from .lexrank import SentenceAnalysis, SummaryConfig, select
@@ -83,19 +85,24 @@ class RankedThemeList:
 
 @dataclass(frozen=True)
 class PreparedThemes:
-    """Per-run shared state: tokenized themes, their BM25 index and the
-    cosine side of the run's embedding file, if it has one."""
+    """Per-run shared state: the themes' BM25 index, which holds their term
+    counts, and the cosine side of the run's embedding file, if it has one."""
 
     catalog: ThemeCatalog
-    tokens: dict[str, list[str]]
     index: Bm25Index
     embeddings: EmbeddingCosine | None
 
     @cached_property
     def tfidf(self) -> TfidfCosine:
-        """The TF-IDF cosine side, built on first use: configs that share
-        this state need not score by cosine."""
-        return TfidfCosine([self.tokens[theme.id] for theme in self.catalog])
+        """The TF-IDF cosine side over the index's term counts, built on
+        first use: configs that share this state need not score by cosine."""
+        return TfidfCosine(self.index.terms, self.index.counts)
+
+    @cached_property
+    def by_id(self) -> np.ndarray:
+        """Catalog positions in ascending theme id, the order ties rank in."""
+        ids = self.index.doc_ids
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
 def _embedding_file(config: PipelineConfig) -> str | None:
@@ -109,14 +116,13 @@ def prepare_themes(catalog: ThemeCatalog, config: PipelineConfig) -> PreparedThe
     """Build the read-only theme-side state shared by every appeal."""
     if len(catalog) == 0:
         raise PipelineError("theme catalog is empty")
-    tokens = {theme.id: tokenize(theme.text) for theme in catalog}
-    index = build_index([(theme.id, tokens[theme.id]) for theme in catalog], config.bm25)
+    index = build_index([(theme.id, tokenize(theme.text)) for theme in catalog], config.bm25)
     embedding_file = _embedding_file(config)
     embeddings = None
     if embedding_file is not None:
         table = load_embeddings(embedding_file)
         embeddings = EmbeddingCosine(table, [theme.id for theme in catalog], embedding_file)
-    return PreparedThemes(catalog=catalog, tokens=tokens, index=index, embeddings=embeddings)
+    return PreparedThemes(catalog=catalog, index=index, embeddings=embeddings)
 
 
 class AppealAnalysis:
@@ -150,20 +156,19 @@ def _cosine_scores(
     rep_tokens: list[str],
     config: PipelineConfig,
     prepared: PreparedThemes,
-) -> dict[str, float]:
+) -> np.ndarray:
+    """Cosine of the appeal against every theme, in catalog order."""
     if config.embedding_source == TFIDF_FALLBACK:
         if not rep_tokens:
             raise PipelineError("no tokens left for vectorization")
-        scores = prepared.tfidf.scores(rep_tokens)
-    else:
-        query = prepared.embeddings.table.vectors.get(appeal.id)
-        if query is None:
-            raise PipelineError(f"no embedding in {config.embedding_source}")
-        try:
-            scores = prepared.embeddings.scores(query)
-        except ValueError as exc:
-            raise PipelineError(str(exc)) from exc
-    return {theme.id: float(value) for theme, value in zip(prepared.catalog, scores)}
+        return prepared.tfidf.scores(rep_tokens)
+    query = prepared.embeddings.table.vectors.get(appeal.id)
+    if query is None:
+        raise PipelineError(f"no embedding in {config.embedding_source}")
+    try:
+        return prepared.embeddings.scores(query)
+    except ValueError as exc:
+        raise PipelineError(str(exc)) from exc
 
 
 def classify_appeal(
@@ -192,8 +197,9 @@ def classify_appeal(
         scores = score_by_bm25(rep_tokens, prepared.index)
     else:
         scores = _cosine_scores(appeal, rep_tokens, config, prepared)
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return RankedThemeList(appeal_id=appeal.id, entries=tuple(ordered[: config.k]))
+    top = prepared.by_id[np.argsort(-scores[prepared.by_id], kind="stable")[: config.k]]
+    entries = tuple((prepared.index.doc_ids[i], float(scores[i])) for i in top)
+    return RankedThemeList(appeal_id=appeal.id, entries=entries)
 
 
 def _classify_safely(appeal, catalog, configs, prepared) -> list[tuple[str, object, float]]:

@@ -32,10 +32,10 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
 
 
-def score_by_bm25(summary_tokens: Sequence[str], theme_index: Bm25Index) -> dict[str, float]:
-    """Score the representation as a BM25 query against every indexed theme."""
-    totals = scores_for_all(theme_index, summary_tokens)
-    return {doc_id: float(totals[i]) for i, doc_id in enumerate(theme_index.doc_ids)}
+def score_by_bm25(summary_tokens: Sequence[str], theme_index: Bm25Index) -> np.ndarray:
+    """Score the representation as a BM25 query against every indexed theme,
+    in index order."""
+    return scores_for_all(theme_index, summary_tokens)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -57,7 +57,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     Format: a header line ``id<TAB><dimension>`` followed by one line per
     vector, ``id<TAB>v1,v2,...``. All vectors must match the declared
-    dimension and ids must be unique.
+    dimension, every component must be finite and ids must be unique.
     """
     path = Path(path)
     if not path.is_file():
@@ -89,6 +89,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 vector = np.array([float(x) for x in values.split(",")])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric component") from None
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite component")
             if vector.size != dimension:
                 raise ValueError(
                     f"{path}: line {lineno}: vector has {vector.size} components, "
@@ -149,7 +151,8 @@ def tfidf_vectors(texts: Sequence[tuple[str, Sequence[str]]]) -> EmbeddingTable:
 
 
 class TfidfCosine:
-    """TF-IDF cosine of a query against every theme, theme side built once.
+    """TF-IDF cosine of a query against every theme, theme side built once
+    from the themes' vocabulary and count matrix (see ``term_counts``).
 
     Equal to ``cosine`` over ``tfidf_vectors([query, *themes])`` to rounding:
     df counts the themes plus the query, ``N = len(themes) + 1`` and
@@ -159,23 +162,13 @@ class TfidfCosine:
     mat-vec over those terms.
     """
 
-    def __init__(self, themes: Sequence[Sequence[str]]):
-        counts = [Counter(tokens) for tokens in themes]
-        df: Counter = Counter()
-        for c in counts:
-            df.update(c.keys())
-        self.vocab = {term: i for i, term in enumerate(sorted(df))}
-        rows, cols, tfs = [], [], []
-        for row, c in enumerate(counts):
-            rows += [row] * len(c)
-            cols += [self.vocab[term] for term in c]
-            tfs += c.values()
-        shape = (len(counts), len(self.vocab))
-        self.tf = sparse.csr_matrix((np.asarray(tfs, dtype=float), (rows, cols)), shape=shape)
-        self.tf_squared = self.tf.power(2)
+    def __init__(self, terms: Sequence[str], counts: sparse.csr_matrix):
+        self.vocab = {term: i for i, term in enumerate(terms)}
+        self.tf = counts
+        self.tf_squared = counts.power(2)
 
-        n = len(counts) + 1
-        theme_df = np.array([df[term] for term in self.vocab], dtype=float)
+        n = counts.shape[0] + 1
+        theme_df = counts.getnnz(axis=0).astype(float)
         idf_themes = np.log(n / theme_df) + 1.0  # terms the query lacks
         self.idf_shared = np.log(n / (theme_df + 1.0)) + 1.0  # terms it holds
         self.idf_query_only = math.log(n) + 1.0

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
 from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+from scipy import sparse
 
 TokenSequence = list[str]
 
@@ -210,6 +216,27 @@ def tokenize(text: str) -> TokenSequence:
         return []
     normalized = unicodedata.normalize("NFC", text).lower()
     return _WORD_RE.findall(normalized)
+
+
+def term_counts(
+    token_lists: Sequence[Sequence[str]],
+) -> tuple[tuple[str, ...], sparse.csr_matrix]:
+    """The sorted vocabulary of ``token_lists`` and their docs x terms CSR
+    matrix of (float) counts.
+
+    Columns follow the vocabulary, so each row stores its columns ascending,
+    in lexicographic term order: the order BM25 adds a query's terms in,
+    which sparse products over these counts keep.
+    """
+    counts = [Counter(tokens) for tokens in token_lists]
+    terms = tuple(sorted(set().union(*counts)))
+    column = dict(zip(terms, range(len(terms))))
+    indptr = np.cumsum([0] + [len(c) for c in counts])
+    indices = np.fromiter(map(column.__getitem__, chain.from_iterable(counts)), np.intp, indptr[-1])
+    data = np.fromiter(chain.from_iterable(c.values() for c in counts), float, indptr[-1])
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(len(counts), len(terms)))
+    matrix.sort_indices()
+    return terms, matrix
 
 
 def _case_classes(chars) -> dict[str, str]:

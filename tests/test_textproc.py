@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from themerank.textproc import (
     remove_noise,
     segment_sentences,
     stopword_regex,
+    term_counts,
     tokenize,
 )
 
@@ -43,6 +45,46 @@ class TestTokenize:
     def test_idempotent_on_own_output(self, text):
         once = tokenize(text)
         assert tokenize(" ".join(once)) == once
+
+
+class TestTermCounts:
+    def test_single_doc_statistics(self):
+        terms, counts = term_counts([["a", "b", "a"]])
+        assert terms == ("a", "b")
+        assert counts.toarray().tolist() == [[2.0, 1.0]]
+        assert counts.toarray().sum(axis=1).tolist() == [3.0]
+
+    def test_two_doc_statistics(self):
+        terms, counts = term_counts([["a"], ["b"]])
+        assert terms == ("a", "b")
+        assert counts.getnnz(axis=0).tolist() == [1, 1]
+        assert counts.toarray().sum(axis=1).tolist() == [1.0, 1.0]
+
+    def test_no_documents(self):
+        terms, counts = term_counts([])
+        assert terms == () and counts.shape == (0, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.sampled_from(["a", "ab", "B", "é", "ção", "z", "9", "ß", "日本"]), max_size=12
+            ),
+            max_size=8,
+        )
+    )
+    def test_matches_counter_per_document(self, token_lists):
+        # empty documents, repeated tokens and non-ASCII terms
+        terms, counts = term_counts(token_lists)
+        assert terms == tuple(sorted({t for tokens in token_lists for t in tokens}))
+        assert counts.shape == (len(token_lists), len(terms))
+        for row, tokens in enumerate(token_lists):
+            start, end = counts.indptr[row], counts.indptr[row + 1]
+            columns = counts.indices[start:end].tolist()
+            assert columns == sorted(set(columns))
+            got = {terms[c]: v for c, v in zip(columns, counts.data[start:end].tolist())}
+            assert got == Counter(tokens)
+            assert sum(got.values()) == len(tokens)
 
 
 class TestSegmentSentences:
