@@ -6,7 +6,7 @@ against every theme, producing a ranked top-k suggestion list. A CLI and an
 evaluation harness with standard top-k retrieval metrics are included.
 """
 
-from .bm25 import Bm25Index, Bm25Params, build_index, rank, score
+from .bm25 import Bm25Index, Bm25Params, build_index, score
 from .corpus import (
     AppealRecord,
     CorpusError,

@@ -175,9 +175,3 @@ def scores_for_all(index: Bm25Index, query: Sequence[str]) -> np.ndarray:
     query_row[[index._row[term] for term in set(query) if term in index._row]] = 1.0
     return index.weights.T @ query_row
 
-
-def rank(index: Bm25Index, query: Sequence[str]) -> list[tuple[str, float]]:
-    """All documents ordered by descending score, ties by ascending doc_id."""
-    totals = scores_for_all(index, query)
-    order = sorted(range(len(index)), key=lambda i: (-totals[i], index.doc_ids[i]))
-    return [(index.doc_ids[i], float(totals[i])) for i in order]

@@ -362,10 +362,13 @@ def build_grid(config: dict[str, Any]) -> ExperimentGrid:
         if value not in _PREPROCESS_NAMES:
             raise ConfigError(f"grid preprocess values must be 'remove' or 'keep', got {value!r}")
         options.append(_PREPROCESS_NAMES[value])
+    for size in section["summary_sizes"]:
+        if not isinstance(size, int) or isinstance(size, bool):
+            raise ConfigError(f"'grid.summary_sizes' must hold integers, got {size!r}")
     return ExperimentGrid(
         preprocess_options=tuple(options),
         representations=tuple(section["representations"]),
-        summary_sizes=tuple(int(s) for s in section["summary_sizes"]),
+        summary_sizes=tuple(section["summary_sizes"]),
         similarity_methods=tuple(section["similarity_methods"]),
     )
 

@@ -92,7 +92,10 @@ def similarity_matrix(
 
     Entry (i, j) is ``sum_w tf(w,i)*tf(w,j)*idf(w)^2 / (|i| * |j|)`` with
     ``idf(w) = ln(n / df(w)) + 1`` computed over this document's own
-    sentences. Empty sentences get all-zero rows, including the diagonal.
+    sentences. Empty sentences get all-zero rows, the others a unit diagonal.
+    The weights are the product of the row-normalized matrix with its
+    transpose, rows unsorted as the product leaves them; (i, j) and (j, i)
+    add the same terms in the same order, so they are equal bit for bit.
     """
     n = len(sentences)
     if n < 1:
@@ -108,12 +111,15 @@ def similarity_matrix(
     normalized = sparse.diags(scale) @ matrix
     weights = (normalized @ normalized.T).tocsr()
 
-    # force exact symmetry and unit diagonals despite float accumulation
-    upper = sparse.triu(weights, k=1)
-    diagonal = sparse.diags((norms > 0).astype(float))
-    weights = (upper + upper.T + diagonal).tocsr()
-    weights.data = np.clip(weights.data, 0.0, 1.0)
+    # every non-empty row stores its diagonal: its squares sum to ~1, never 0
+    np.clip(weights.data, 0.0, 1.0, out=weights.data)
+    weights.data[weights.indices == _entry_rows(weights)] = 1.0
     return SentenceGraph(n=n, weights=weights, threshold=threshold)
+
+
+def _entry_rows(matrix: sparse.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(matrix.shape[0], dtype=matrix.indices.dtype), np.diff(matrix.indptr))
 
 
 def degree_centrality(graph: SentenceGraph) -> np.ndarray:
@@ -124,9 +130,9 @@ def degree_centrality(graph: SentenceGraph) -> np.ndarray:
         # every pair satisfies weight >= 0, so all sentences reach full degree
         return np.full(n, (n - 1) / denom, dtype=float)
 
-    matrix = graph.weights.tocoo()
-    mask = (matrix.data >= graph.threshold) & (matrix.row != matrix.col)
-    degrees = np.bincount(matrix.row[mask], minlength=n).astype(float)
+    weights, rows = graph.weights, _entry_rows(graph.weights)
+    mask = (weights.data >= graph.threshold) & (weights.indices != rows)
+    degrees = np.bincount(rows[mask], minlength=n).astype(float)
     return degrees / denom
 
 
@@ -140,15 +146,17 @@ def continuous_centrality(
 
     Rows are normalized to transition probabilities (all-zero rows become
     uniform), mixed with the uniform distribution at rate ``1 - damping``,
-    and iterated until the L1 change drops below ``tolerance``.
+    and iterated until the L1 change drops below ``tolerance``. Each row is
+    read in column order, whatever order the graph stores it in.
     """
     n = graph.n
-    row_sums = np.asarray(graph.weights.sum(axis=1)).ravel()
+    weights = graph.weights.sorted_indices()
+    row_sums = np.asarray(weights.sum(axis=1)).ravel()
     if not np.any(row_sums > 0):
         raise ValueError("graph has no positive row sums")
 
     inv = np.divide(1.0, row_sums, out=np.zeros(n), where=row_sums > 0)
-    transition = (sparse.diags(inv) @ graph.weights).tocsr()
+    transition = (sparse.diags(inv) @ weights).tocsr()
     zero_rows = row_sums <= 0
 
     x = np.full(n, 1.0 / n)
@@ -206,8 +214,7 @@ def combined_scores(
 
 def select_top(scores: np.ndarray, size: int) -> list[int]:
     """Indices of the ``size`` highest scores, ties broken by ascending index."""
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    return order[: min(size, len(scores))]
+    return np.argsort(-np.asarray(scores), kind="stable")[:size].tolist()
 
 
 class SentenceAnalysis:

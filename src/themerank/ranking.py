@@ -24,7 +24,7 @@ import numpy as np
 
 from .bm25 import Bm25Index, Bm25Params, build_index
 from .corpus import AppealRecord, ThemeCatalog
-from .lexrank import SentenceAnalysis, SummaryConfig, select
+from .lexrank import SentenceAnalysis, SummaryConfig, select, select_top
 from .lexrank import summarize  # noqa: F401  perfbench/spans.py wraps it at this binding
 from .similarity import EmbeddingCosine, TfidfCosine, load_embeddings, score_by_bm25
 from .similarity import cosine, tfidf_vectors  # noqa: F401  perfbench/spans.py wraps them here
@@ -148,7 +148,8 @@ def _representation_tokens(
         return tokenize(analysis.cleaned)
     theme_index = prepared.index if config.representation == "guided_lexrank" else None
     summary = select(analysis.sentences, config.summary, theme_index)
-    return tokenize(summary.text)
+    # tokenize splits at the spaces joining the summary text's sentences
+    return [token for i in summary.indices for token in analysis.sentences.tokens[i]]
 
 
 def _cosine_scores(
@@ -197,7 +198,7 @@ def classify_appeal(
         scores = score_by_bm25(rep_tokens, prepared.index)
     else:
         scores = _cosine_scores(appeal, rep_tokens, config, prepared)
-    top = prepared.by_id[np.argsort(-scores[prepared.by_id], kind="stable")[: config.k]]
+    top = prepared.by_id[select_top(scores[prepared.by_id], config.k)]
     entries = tuple((prepared.index.doc_ids[i], float(scores[i])) for i in top)
     return RankedThemeList(appeal_id=appeal.id, entries=entries)
 
@@ -328,16 +329,3 @@ def write_rankings(
                     [ranking.appeal_id, position, theme_id, repr(score), label, hit]
                 )
 
-
-def read_rankings(path: str | Path) -> list[RankedThemeList]:
-    """Parse a rankings file back into RankedThemeList values (gold ignored)."""
-    grouped: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != RANKINGS_HEADER:
-            raise ValueError(f"{path}: unexpected header {header}")
-        for row in reader:
-            appeal_id, _, theme_id, score = row[0], row[1], row[2], float(row[3])
-            grouped.setdefault(appeal_id, []).append((theme_id, score))
-    return [RankedThemeList(appeal_id, tuple(entries)) for appeal_id, entries in grouped.items()]

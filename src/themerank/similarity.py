@@ -38,17 +38,24 @@ def score_by_bm25(summary_tokens: Sequence[str], theme_index: Bm25Index) -> np.n
     return scores_for_all(theme_index, summary_tokens)
 
 
+def _power_of_two_scaled(vectors: np.ndarray) -> np.ndarray:
+    """Each vector (last axis) times the power of two that brings its largest
+    ``abs`` into [0.5, 1): exact, so cosines keep their bits, but with no
+    overflow or underflow of norms from components like 1e200 or 1e-200."""
+    peak = np.abs(vectors).max(axis=-1, keepdims=True)
+    return np.ldexp(vectors, -np.frexp(peak)[1])
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine of the angle between two non-zero vectors of equal dimension."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    if not u.any() or not v.any():
         raise ValueError("cosine is undefined for zero-norm vectors")
-    value = float(np.dot(u, v) / (nu * nv))
+    u, v = _power_of_two_scaled(u), _power_of_two_scaled(v)
+    value = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
     return min(1.0, max(-1.0, value))
 
 
@@ -100,18 +107,9 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     if not vectors:
         raise ValueError(f"{path}: no vectors found")
-    if all(np.linalg.norm(v) == 0.0 for v in vectors.values()):
+    if not any(v.any() for v in vectors.values()):
         raise ValueError(f"{path}: every vector has zero norm")
     return EmbeddingTable(dimension=dimension, vectors=vectors)
-
-
-def write_embeddings(path: str | Path, table: EmbeddingTable) -> None:
-    """Write a table in the format accepted by load_embeddings."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"id\t{table.dimension}\n")
-        for doc_id, vector in table.vectors.items():
-            values = ",".join(repr(float(x)) for x in vector)
-            handle.write(f"{doc_id}\t{values}\n")
 
 
 def tfidf_vectors(texts: Sequence[tuple[str, Sequence[str]]]) -> EmbeddingTable:
@@ -198,9 +196,10 @@ class TfidfCosine:
 class EmbeddingCosine:
     """Cosine of an embedding against every theme's, theme side built once.
 
-    The theme vectors are stacked in catalog order with their norms. A
-    catalog with a theme that has no vector, or a zero-norm one, cannot be
-    scored: :meth:`scores` names the first such theme in catalog order.
+    The theme vectors are stacked in catalog order, each scaled by a power
+    of two (see ``_power_of_two_scaled``), with their norms. A catalog with
+    a theme that has no vector, or an all-zero one, cannot be scored:
+    :meth:`scores` names the first such theme in catalog order.
     """
 
     def __init__(self, table: EmbeddingTable, theme_ids: Sequence[str], source: str):
@@ -213,17 +212,19 @@ class EmbeddingCosine:
             if vector is None:
                 self.unusable = f"theme {theme_id!r}: no embedding in {source}"
                 break
-            if np.linalg.norm(vector) == 0.0:
+            if not vector.any():
                 self.unusable = f"theme {theme_id!r}: cosine is undefined for zero-norm vectors"
                 break
             self.matrix[row] = vector
+        self.matrix = _power_of_two_scaled(self.matrix)
         self.norms = np.linalg.norm(self.matrix, axis=1)
 
     def scores(self, query: np.ndarray) -> np.ndarray:
         """Cosine against every theme, in catalog order; clamped to [-1, 1]."""
         if self.unusable is not None:
             raise ValueError(self.unusable)
-        norm = np.linalg.norm(query)
-        if norm == 0.0:
+        if not query.any():
             raise ValueError(f"embedding in {self.source} has zero norm")
+        query = _power_of_two_scaled(query)
+        norm = np.linalg.norm(query)
         return np.clip(self.matrix @ query / (self.norms * norm), -1.0, 1.0)

@@ -11,6 +11,7 @@ import re
 from collections import Counter
 
 import numpy as np
+from scipy import sparse
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +144,37 @@ def sentence_similarity_brute(token_lists: list[list[str]]) -> list[list[float]]
     return matrix
 
 
+def similarity_graph_rebuilt(token_lists: list[list[str]]) -> sparse.csr_matrix:
+    """The sentence graph as it was built before it was left as the bare
+    product: the same count matrix, idf scaling and normalized product,
+    then a rebuild from the strict upper triangle, its transpose and a unit
+    diagonal on the non-empty rows, clipped to [0, 1]."""
+    n = len(token_lists)
+    counters = [Counter(tokens) for tokens in token_lists]
+    vocabulary = sorted({t for tokens in token_lists for t in tokens})
+    column = {term: i for i, term in enumerate(vocabulary)}
+    rows, cols, data = [], [], []
+    for row, counter in enumerate(counters):
+        for term, count in counter.items():
+            rows.append(row)
+            cols.append(column[term])
+            data.append(float(count))
+    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, len(vocabulary)))
+    idf = np.array([math.log(n / df) + 1.0 for df in matrix.getnnz(axis=0).tolist()])
+    matrix.data *= idf[matrix.indices]
+
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0)
+    normalized = sparse.diags(scale) @ matrix
+    weights = (normalized @ normalized.T).tocsr()
+
+    upper = sparse.triu(weights, k=1)
+    diagonal = sparse.diags((norms > 0).astype(float))
+    weights = (upper + upper.T + diagonal).tocsr()
+    weights.data = np.clip(weights.data, 0.0, 1.0)
+    return weights
+
+
 def degree_brute(weights, threshold: float) -> list[float]:
     n = len(weights)
     result = []
@@ -205,6 +237,12 @@ def guided_selection_brute(
     combined = [alpha * g + beta * s for g, s in zip(gamma_hat, sigma_hat)]
     order = sorted(range(len(combined)), key=lambda i: (-combined[i], i))
     return order[: min(size, len(combined))]
+
+
+def select_top_sorted(scores, size: int) -> list[int]:
+    """The ``size`` highest scores by a keyed sort, ties by ascending index."""
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return order[: min(size, len(scores))]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ import csv
 import random
 from pathlib import Path
 
+from themerank.ranking import RANKINGS_HEADER, RankedThemeList
+from themerank.similarity import EmbeddingTable
+
 
 def make_themes(n_themes: int = 60) -> list[tuple[str, str]]:
     themes = []
@@ -80,3 +83,26 @@ def write_corpus(
         writer.writerow(["id", "text", "theme"])
         writer.writerows(appeals)
     return appeals_path, themes_path
+
+
+def write_embeddings(path: str | Path, table: EmbeddingTable) -> None:
+    """Write a table in the format accepted by load_embeddings."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(f"id\t{table.dimension}\n")
+        for doc_id, vector in table.vectors.items():
+            values = ",".join(repr(float(x)) for x in vector)
+            handle.write(f"{doc_id}\t{values}\n")
+
+
+def read_rankings(path: str | Path) -> list[RankedThemeList]:
+    """Parse a rankings file back into RankedThemeList values (gold ignored)."""
+    grouped: dict[str, list[tuple[str, float]]] = {}
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader)
+        if tuple(header) != RANKINGS_HEADER:
+            raise ValueError(f"{path}: unexpected header {header}")
+        for row in reader:
+            appeal_id, _, theme_id, score = row[0], row[1], row[2], float(row[3])
+            grouped.setdefault(appeal_id, []).append((theme_id, score))
+    return [RankedThemeList(appeal_id, tuple(entries)) for appeal_id, entries in grouped.items()]

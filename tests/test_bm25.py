@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bm25_rank_brute, bm25_score_brute
-from themerank.bm25 import Bm25Params, build_index, rank, score, scores_for_all
+from themerank.bm25 import Bm25Params, build_index, score, scores_for_all
+from themerank.corpus import ThemeCatalog, ThemeRecord
+from themerank.lexrank import select_top
+from themerank.ranking import PipelineConfig, prepare_themes
+from themerank.similarity import score_by_bm25
 
 
 def toy_corpus(rng: random.Random, max_docs=8, max_terms=20):
@@ -133,28 +137,20 @@ class TestIdfVariants:
 
 
 class TestRank:
-    def test_all_zero_scores_ascending_id_order(self):
-        index = build_index([("dB", ["b"]), ("dA", ["a"]), ("dC", ["c"])])
-        ranked = rank(index, ["zzz"])
-        assert [doc_id for doc_id, _ in ranked] == ["dA", "dB", "dC"]
-
-    def test_only_matching_doc_first(self):
-        index = build_index([("dA", ["x"]), ("dB", ["alvo"]), ("dC", ["y"])])
-        ranked = rank(index, ["alvo"])
-        assert ranked[0][0] == "dB" and ranked[0][1] > 0.0
-
-    def test_permutation_of_all_doc_ids(self):
-        index = build_index([("d1", ["a"]), ("d2", ["b"]), ("d3", ["a", "b"])])
-        ranked = rank(index, ["a"])
-        assert sorted(doc_id for doc_id, _ in ranked) == ["d1", "d2", "d3"]
+    """The pipeline's own top-k over BM25 scores: catalog positions in
+    ascending theme id, then a stable top-k, ranks all themes as the brute
+    force does (descending score, ties by ascending id)."""
 
     def test_matches_brute_force_on_random_corpora(self):
         rng = random.Random(23)
         for _ in range(30):
             docs = toy_corpus(rng, max_docs=5)
-            index = build_index(list(docs.items()))
+            catalog = ThemeCatalog(ThemeRecord(i, " ".join(tokens)) for i, tokens in docs.items())
+            prepared = prepare_themes(catalog, PipelineConfig())
             query = [rng.choice([f"w{i}" for i in range(20)]) for _ in range(6)]
-            got = [doc_id for doc_id, _ in rank(index, query)]
+            scores = score_by_bm25(query, prepared.index)
+            top = prepared.by_id[select_top(scores[prepared.by_id], len(docs))]
+            got = [prepared.index.doc_ids[i] for i in top]
             assert got == bm25_rank_brute(docs, query)
 
 

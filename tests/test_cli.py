@@ -739,6 +739,20 @@ class TestOneLineErrors:
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert message in err
 
+    def test_grid_summary_size_not_an_integer(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        config = tmp_path / "grid.yaml"
+        config.write_text("grid:\n  summary_sizes: [10.7, true]\n", encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "grid", "--appeals", str(tiny_appeals_file), "--themes", str(tiny_themes_file),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "'grid.summary_sizes' must hold integers, got 10.7" in err
+        assert not (tmp_path / "out").exists()
+
     def test_non_finite_embedding(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
         embeddings = tmp_path / "e.tsv"
         embeddings.write_text(

@@ -307,6 +307,13 @@ class TestGrid:
         grid = build_grid(config)
         assert grid.preprocess_options == (False, True)
 
+    @pytest.mark.parametrize("size", [10.7, True, "15", None])
+    def test_build_grid_rejects_summary_size_that_is_not_an_integer(self, size):
+        config = load_run_config(None)
+        config["grid"]["summary_sizes"] = [10, size]
+        with pytest.raises(ConfigError, match=r"'grid\.summary_sizes' must hold integers"):
+            build_grid(config)
+
     def test_build_grid_rejects_unknown_preprocess(self):
         config = load_run_config(None)
         config["grid"]["preprocess"] = ["maybe"]

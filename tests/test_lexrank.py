@@ -4,14 +4,16 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import (
     degree_brute,
     guided_selection_brute,
+    select_top_sorted,
     sentence_similarity_brute,
+    similarity_graph_rebuilt,
     stationary_brute,
 )
 from themerank.bm25 import Bm25Params, build_index, scores_for_all
@@ -95,6 +97,50 @@ class TestSimilarityMatrix:
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix([[], []])
+
+
+sentence_token_lists = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=12),
+    min_size=1,
+    max_size=25,
+)
+
+
+def assert_same_csr(got, expected):
+    assert got.nnz == expected.nnz
+    assert got.data.tobytes() == expected.data.tobytes()
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.indptr, expected.indptr)
+
+
+class TestGraphMatchesRebuild:
+    """The bare product, clipped with its diagonal written in place, equals
+    the graph rebuilt from its upper triangle bit for bit, and so does the
+    centrality computed on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sentence_token_lists)
+    @example([["a", "b", "a"]])
+    @example([["a", "b"], ["a", "b"], ["b", "a"]])
+    @example([[], ["a", "c"], [], ["c", "a", "a"]])
+    def test_weights_bitwise(self, token_lists):
+        assume(any(token_lists))
+        graph = similarity_matrix(token_lists)
+        assert graph.n == len(token_lists)
+        assert_same_csr(graph.weights.sorted_indices(), similarity_graph_rebuilt(token_lists))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sentence_token_lists, st.sampled_from([0.05, 0.1, 0.3, 0.6]))
+    @example([["a"]], 0.1)
+    @example([["a", "b"], ["a", "b"], []], 0.1)
+    def test_gamma_bitwise(self, token_lists, threshold):
+        assume(any(token_lists))
+        graph = similarity_matrix(token_lists, threshold=threshold)
+        rebuilt = SentenceGraph(
+            n=len(token_lists), weights=similarity_graph_rebuilt(token_lists), threshold=threshold
+        )
+        assert degree_centrality(graph).tobytes() == degree_centrality(rebuilt).tobytes()
+        assert continuous_centrality(graph).tobytes() == continuous_centrality(rebuilt).tobytes()
 
 
 class TestDegreeCentrality:
@@ -369,6 +415,20 @@ def test_select_top_truncates_and_orders():
     scores = np.array([0.1, 0.9, 0.9, 0.2])
     assert select_top(scores, 3) == [1, 2, 3]
     assert select_top(scores, 10) == [1, 2, 3, 0]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 2.5, 1e-300, -1e300, np.inf, -np.inf])
+        | st.floats(allow_nan=False),
+        max_size=30,
+    ),
+    st.integers(1, 35),
+)
+@example([0.0, -0.0, 0.0, -0.0], 3)
+def test_select_top_equals_keyed_sort(scores, size):
+    assert select_top(np.array(scores, dtype=float), size) == select_top_sorted(scores, size)
 
 
 class TestSharedAnalysis:

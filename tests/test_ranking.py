@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synth import make_appeals, make_themes
+from synth import make_appeals, make_themes, read_rankings, write_embeddings
 from themerank import ranking
 from themerank.config import ExperimentGrid, cell_config
 from themerank.corpus import AppealRecord, ThemeCatalog, ThemeRecord, gold_labels, load_appeals, load_themes
@@ -21,12 +21,11 @@ from themerank.ranking import (
     classify_corpus,
     classify_grid,
     prepare_themes,
-    read_rankings,
     write_rankings,
 )
-from themerank.similarity import EmbeddingTable, write_embeddings
-from themerank.textproc import PreprocessConfig
-from themerank.lexrank import SummaryConfig
+from themerank.similarity import EmbeddingTable
+from themerank.textproc import PreprocessConfig, tokenize
+from themerank.lexrank import SummaryConfig, select
 
 
 def catalog_of(*pairs) -> ThemeCatalog:
@@ -309,6 +308,32 @@ def grid_runs(draw):
     ]
     catalog = ThemeCatalog(ThemeRecord(theme_id, text) for theme_id, text in themes)
     return appeals, catalog, configs
+
+
+_SUMMARY_CHARS = st.sampled_from("ΣΑσ\u0301\u0307İ\u00a0 .'abcDE1é") | st.characters(
+    blacklist_categories=("Cs",)
+)
+
+
+class TestSummaryTokens:
+    """A summary's tokens are its sentences' stored tokens, which equal the
+    tokens of the summary text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.text(_SUMMARY_CHARS, min_size=1, max_size=30), min_size=1, max_size=12),
+        st.sampled_from(["lexrank", "guided_lexrank"]),
+        st.integers(1, 8),
+    )
+    def test_equal_tokens_of_summary_text(self, pieces, representation, size):
+        text = ". ".join(pieces) + " prescrição"  # at least one token
+        analysis = ranking.AppealAnalysis(AppealRecord("A1", text), PreprocessConfig(remove_terms=False))
+        config = replace(PLAIN_CONFIG, representation=representation, summary=SummaryConfig(size=size))
+        prepared = prepare_themes(SEVEN_THEMES, config)
+        tokens = ranking._representation_tokens(analysis, config, prepared)
+        theme_index = prepared.index if representation == "guided_lexrank" else None
+        summary = select(analysis.sentences, config.summary, theme_index)
+        assert tokens == tokenize(summary.text)
 
 
 class TestClassifyGrid:

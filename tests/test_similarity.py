@@ -19,8 +19,8 @@ from themerank.similarity import (
     load_embeddings,
     score_by_bm25,
     tfidf_vectors,
-    write_embeddings,
 )
+from synth import write_embeddings
 
 
 class TestScoreByBm25:
@@ -84,6 +84,20 @@ class TestCosine:
         with pytest.raises(ValueError, match="zero-norm"):
             cosine(np.zeros(3), np.array([1.0, 0.0, 0.0]))
 
+    def test_huge_components_do_not_overflow(self):
+        value = cosine(np.array([1e200, 1.0]), np.array([1e200, 1e200]))
+        assert value == pytest.approx(math.sqrt(0.5), abs=1e-15)
+
+    def test_tiny_vector_is_not_zero_norm(self):
+        assert cosine(np.array([1e-200, 0.0]), np.array([1.0, 0.0])) == 1.0
+
+    def test_bitwise_equal_to_unscaled_formula(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            u, v = rng.normal(size=(2, 7)) * 10.0 ** rng.integers(-5, 6, size=(2, 1))
+            plain = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+            assert cosine(u, v) == min(1.0, max(-1.0, plain))
+
 
 class TestLoadEmbeddings:
     def test_two_vectors(self, tmp_path):
@@ -122,6 +136,11 @@ class TestLoadEmbeddings:
         path.write_text(f"id\t2\nA1\t1,2\nT1\t0.5,{component}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{path}: line 3: non-finite component"):
             load_embeddings(path)
+
+    def test_tiny_vectors_are_not_zero_norm(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        path.write_text("id\t2\nA1\t1e-200,0\nT1\t0,1e-300\n", encoding="utf-8")
+        assert load_embeddings(path).vectors["A1"].tolist() == [1e-200, 0.0]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "emb.tsv"
@@ -265,3 +284,26 @@ class TestEmbeddingCosine:
             with pytest.raises(ValueError) as raised:
                 fast.scores(np.array(query))
             assert str(raised.value) == expected
+
+    def test_huge_theme_component_scores_finite(self):
+        table = EmbeddingTable(2, {"T1": np.array([1e200, 1.0]), "T2": np.array([0.0, 3.0])})
+        got = EmbeddingCosine(table, ["T1", "T2"], "emb.tsv").scores(np.array([1e200, 1e200]))
+        assert got == pytest.approx([math.sqrt(0.5), math.sqrt(0.5)], abs=1e-15)
+
+    def test_tiny_theme_vector_is_usable(self):
+        table = EmbeddingTable(2, {"T1": np.array([1e-200, 0.0]), "T2": np.array([0.0, 1e-310])})
+        scorer = EmbeddingCosine(table, ["T1", "T2"], "emb.tsv")
+        assert scorer.unusable is None
+        assert scorer.scores(np.array([1.0, 0.0])).tolist() == [1.0, 0.0]
+
+    def test_bitwise_equal_to_unscaled_products(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            scale = 10.0 ** rng.integers(-5, 6, size=(9, 1))
+            matrix = rng.normal(size=(9, 16)) * scale
+            query = rng.normal(size=16) * 10.0 ** rng.integers(-5, 6)
+            table = EmbeddingTable(16, {f"T{i}": row for i, row in enumerate(matrix)})
+            got = EmbeddingCosine(table, list(table.vectors), "emb.tsv").scores(query)
+            norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(query)
+            plain = np.clip(matrix @ query / norms, -1.0, 1.0)
+            assert got.tobytes() == plain.tobytes()

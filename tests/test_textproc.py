@@ -47,6 +47,37 @@ class TestTokenize:
         assert tokenize(" ".join(once)) == once
 
 
+# characters whose normalisation or lowercasing could depend on their
+# neighbours: combining marks, capital sigma (final or not), dotted capital I,
+# NBSP, apostrophes and decomposed/compatibility forms
+_TRICKY = "Σσς\u0301\u0308\u0327\u0307İI\u00a0'’.-_ßÅ\u212bΑΒe1"
+
+
+@st.composite
+def stripped_parts(draw):
+    chars = st.sampled_from(_TRICKY) | st.characters(blacklist_categories=("Cs",))
+    parts = draw(st.lists(st.text(chars, min_size=1, max_size=12), min_size=1, max_size=6))
+    edges = draw(st.lists(st.sampled_from(["", "Σ", "ΑΣ", "Σ'", "\u0301", "İ"]), min_size=2, max_size=2))
+    parts = [edges[i % 2] + part + edges[(i + 1) % 2] for i, part in enumerate(parts)]
+    return [part.strip() for part in parts if part.strip()]
+
+
+class TestTokenizeJoin:
+    """A summary's text is its sentences joined by single spaces; its tokens
+    are the concatenation of the sentences' tokens."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(stripped_parts())
+    def test_tokens_of_joined_parts_are_concatenated_tokens(self, parts):
+        concatenated = [token for part in parts for token in tokenize(part)]
+        assert tokenize(" ".join(parts)) == concatenated
+
+    def test_final_sigma_at_part_edges(self):
+        parts = ["ΑΣ", "ΣΑ", "Α\u00a0ΑΣ", "İΣ\u0301"]
+        assert tokenize(" ".join(parts)) == [t for part in parts for t in tokenize(part)]
+        assert tokenize("ΑΣ ΣΑ")[0] == "ας"
+
+
 class TestTermCounts:
     def test_single_doc_statistics(self):
         terms, counts = term_counts([["a", "b", "a"]])
