@@ -103,7 +103,8 @@ def similarity_matrix(
     terms, matrix = term_counts(sentences)
     if not terms:
         raise ValueError("all sentences are empty")
-    idf = np.array([math.log(n / df) + 1.0 for df in matrix.getnnz(axis=0).tolist()])
+    dfs, df_of_term = np.unique(matrix.getnnz(axis=0), return_inverse=True)
+    idf = np.array([math.log(n / df) + 1.0 for df in dfs.tolist()])[df_of_term]
     matrix.data *= idf[matrix.indices]
 
     norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
@@ -147,10 +148,12 @@ def continuous_centrality(
     Rows are normalized to transition probabilities (all-zero rows become
     uniform), mixed with the uniform distribution at rate ``1 - damping``,
     and iterated until the L1 change drops below ``tolerance``. Each row is
-    read in column order, whatever order the graph stores it in.
+    read in column order, whatever order the graph stores it in: the graph
+    is symmetric bit for bit, so its transpose converted back to CSR holds
+    the same rows with their columns ascending.
     """
     n = graph.n
-    weights = graph.weights.sorted_indices()
+    weights = graph.weights.T.tocsr()
     row_sums = np.asarray(weights.sum(axis=1)).ravel()
     if not np.any(row_sums > 0):
         raise ValueError("graph has no positive row sums")

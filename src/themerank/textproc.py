@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -28,7 +27,9 @@ _TERMINALS = ".!?…"
 # re's \s is exactly str.isspace
 _TERMINAL_RUN_RE = re.compile(r"[.!?…]+(\s*)")
 _WORD_RE = re.compile(r"[^\W_]+")
-_SPACE_RUN_RE = re.compile(r"\s+")
+# the whitespace runs that collapsing to one space changes: two or more
+# characters, or one that is not a space; single spaces are left unmatched
+_SPACE_RUN_RE = re.compile(r"\s(?:\s+|(?<=[^\S ]))")
 
 # Sentence-final abbreviations that must not end a sentence, stored without
 # their trailing period.
@@ -78,24 +79,36 @@ class RemovalRule:
 
 
 def default_removal_rules() -> tuple[RemovalRule, ...]:
-    """Ordered default removal rules; each may be overridden in the run config."""
+    """Ordered default removal rules; each may be overridden in the run config.
+
+    Each pattern begins with a character class or literal, so ``re`` jumps
+    from one candidate first character to the next instead of trying a match
+    at every position; the word boundary before that character is checked
+    after it, by a lookbehind over it and the one before. Their readable
+    forms, with a leading ``\\b``, are the oracles in ``tests/oracles.py``.
+    """
     return (
         # CNJ-style docket mask NNNNNNN-NN.NNNN.N.NN.NNNN
-        RemovalRule.compile("process_number", r"\b\d{7}-\d{2}\.\d{4}\.\d\.\d{2}\.\d{4}\b"),
-        # CPF and CNPJ masks, the registry numbers naming people and companies
+        RemovalRule.compile(
+            "process_number", r"\d(?<!\w\d)\d{6}-\d{2}\.\d{4}\.\d\.\d{2}\.\d{4}\b"
+        ),
+        # CPF (NNN.NNN.NNN-NN) and CNPJ (NN.NNN.NNN/NNNN-NN) masks, the
+        # registry numbers naming people and companies
         RemovalRule.compile(
             "registry_number",
-            r"\b\d{3}\.\d{3}\.\d{3}-\d{2}\b|\b\d{2}\.\d{3}\.\d{3}/\d{4}-\d{2}\b",
+            r"\d(?<!\w\d)(?:\d{2}\.\d{3}\.\d{3}-\d{2}|\d\.\d{3}\.\d{3}/\d{4}-\d{2})\b",
         ),
         RemovalRule.compile("monetary_value", r"R\$\s*\d[\d.,]*"),
         # standalone digit runs of length >= 4 (years, docket fragments, zip codes)
-        RemovalRule.compile("digit_run", r"\b\d{4,}\b"),
-        # street address prefixes, consumed to end of line or sentence;
-        # CSV-loaded documents are often one physical line, so stopping only
-        # at newlines would swallow everything after the first street name
+        RemovalRule.compile("digit_run", r"\d(?<!\w\d)\d{3,}\b"),
+        # a street word (Rua, Avenida, Av., Travessa, Alameda, Praça, Rodovia)
+        # starting a word, consumed to end of line or sentence; CSV-loaded
+        # documents are often one physical line, so stopping only at newlines
+        # would swallow everything after the first street name
         RemovalRule.compile(
             "address",
-            r"\b(?:Rua|Avenida|Av\.|Travessa|Alameda|Praça|Rodovia)\b[^\n.!?…]*",
+            r"(?:R(?<!\wR)(?:ua|odovia)\b|A(?<!\wA)(?:venida\b|v\.|lameda\b)"
+            r"|T(?<!\wT)ravessa\b|P(?<!\wP)raça\b)[^\n.!?…]*",
         ),
     )
 
@@ -228,14 +241,20 @@ def term_counts(
     in lexicographic term order: the order BM25 adds a query's terms in,
     which sparse products over these counts keep.
     """
-    counts = [Counter(tokens) for tokens in token_lists]
-    terms = tuple(sorted(set().union(*counts)))
+    flat = list(chain.from_iterable(token_lists))
+    terms = tuple(sorted(set(flat)))
     column = dict(zip(terms, range(len(terms))))
-    indptr = np.cumsum([0] + [len(c) for c in counts])
-    indices = np.fromiter(map(column.__getitem__, chain.from_iterable(counts)), np.intp, indptr[-1])
-    data = np.fromiter(chain.from_iterable(c.values() for c in counts), float, indptr[-1])
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(len(counts), len(terms)))
-    matrix.sort_indices()
+    width = max(len(terms), 1)
+    rows = np.repeat(
+        np.arange(len(token_lists), dtype=np.int64), [len(tokens) for tokens in token_lists]
+    )
+    columns = np.fromiter(map(column.__getitem__, flat), np.int64, len(flat))
+    # one int64 key per (row, column), ascending by row then column
+    keys, counts = np.unique(rows * width + columns, return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(len(token_lists) + 1, dtype=np.int64) * width)
+    matrix = sparse.csr_matrix(
+        (counts.astype(float), keys % width, indptr), shape=(len(token_lists), len(terms))
+    )
     return terms, matrix
 
 

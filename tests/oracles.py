@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -67,8 +68,9 @@ def bm25_rank_brute(all_docs, query, **kwargs) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# text processing: the alternation and the per-character loop that the
-# prefix-trie stopword regex and the terminal-run segmentation replace
+# text processing: the readable removal patterns, the alternation and the
+# per-character loop that the prefix-scannable rules, the prefix-trie
+# stopword regex and the terminal-run segmentation replace
 
 
 def stopword_regex_brute(words: frozenset[str]) -> re.Pattern:
@@ -77,6 +79,31 @@ def stopword_regex_brute(words: frozenset[str]) -> re.Pattern:
     longest such word."""
     alternatives = "|".join(re.escape(w) for w in sorted(words, key=len, reverse=True))
     return re.compile(rf"(?<![^\W_])(?:{alternatives})(?![^\W_])", re.IGNORECASE)
+
+
+# The default removal rules in their readable form, a word boundary as a
+# leading \b, in the order they run. The package writes each so that re can
+# jump to its first character; these say what the rules match.
+READABLE_REMOVAL_PATTERNS = {
+    "process_number": r"\b\d{7}-\d{2}\.\d{4}\.\d\.\d{2}\.\d{4}\b",
+    "registry_number": r"\b\d{3}\.\d{3}\.\d{3}-\d{2}\b|\b\d{2}\.\d{3}\.\d{3}/\d{4}-\d{2}\b",
+    "monetary_value": r"R\$\s*\d[\d.,]*",
+    "digit_run": r"\b\d{4,}\b",
+    # the trailing \b follows the street words only: after "Av." the next
+    # character may be anything
+    "address": r"\b(?:(?:Rua|Avenida|Travessa|Alameda|Praça|Rodovia)\b|Av\.)[^\n.!?…]*",
+}
+
+
+def remove_noise_brute(text: str, stopwords: frozenset[str]) -> str:
+    """Noise removal under the default rules: the readable patterns in
+    order, the stopword alternation, then every whitespace run to one space."""
+    cleaned = unicodedata.normalize("NFC", text)
+    for pattern in READABLE_REMOVAL_PATTERNS.values():
+        cleaned = re.sub(pattern, " ", cleaned)
+    if stopwords:
+        cleaned = stopword_regex_brute(stopwords).sub(" ", cleaned)
+    return re.sub(r"\s+", " ", cleaned).strip()
 
 
 def segment_sentences_brute(text: str, abbreviations: frozenset[str]) -> list[str]:

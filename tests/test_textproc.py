@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import segment_sentences_brute, stopword_regex_brute
+from oracles import (
+    READABLE_REMOVAL_PATTERNS,
+    remove_noise_brute,
+    segment_sentences_brute,
+    stopword_regex_brute,
+)
 from themerank.textproc import (
     DEFAULT_ABBREVIATIONS,
     PreprocessConfig,
@@ -95,6 +100,11 @@ class TestTermCounts:
         terms, counts = term_counts([])
         assert terms == () and counts.shape == (0, 0)
 
+    def test_all_documents_empty(self):
+        terms, counts = term_counts([[], [], []])
+        assert terms == () and counts.shape == (3, 0)
+        assert counts.nnz == 0 and counts.indptr.tolist() == [0, 0, 0, 0]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -177,6 +187,18 @@ class TestRemoveNoise:
         config = PreprocessConfig(stopwords=frozenset())
         out = remove_noise("CPF 123.456.789-01 pagou R$ 1.234,56 em 2020", config)
         assert out == "CPF pagou em"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "residente na Av. Paulista 100, bairro",
+            "residente na Avenida Paulista 100, bairro",
+            "residente na Av.Paulista 100, bairro",
+        ],
+    )
+    def test_address_removed_after_every_street_word(self, text):
+        # the address runs to the end: "Av." is removed before a space too
+        assert remove_noise(text, PreprocessConfig()) == "residente"
 
     def test_invalid_pattern_reported_at_config_load(self):
         with pytest.raises(ValueError, match="broken"):
@@ -307,3 +329,43 @@ class TestLinearKernelsMatchOracles:
         sentences = segment_sentences(text, abbreviations)
         assert [s.text for s in sentences] == segment_sentences_brute(text, abbreviations)
         assert [s.index for s in sentences] == list(range(len(sentences)))
+
+
+# Pieces around every edge of the default rules: ASCII and non-ASCII digits
+# (re's \d is Unicode), the mask separators, letters and "_" against digits,
+# street words whole, cut short and inside words, stopwords, and whitespace
+# that is not a plain space.
+NOISE_PIECES = st.sampled_from(
+    [
+        "0", "1", "12", "123", "1234", "٣", "۵", "١٢٣٤",
+        ".", "-", "/", ",", "_", "R$", "R$ ", "R",
+        "a", "x", "Z", "é", "ç",
+        "Rua", "Avenida", "Av", "Av.", "A", "v.", "Travessa", "Alameda", "Praça", "Rodovia",
+        "rua", "Ruas", "Praca", "!", "…",
+        "de", "a", "na", "De", "o",
+        " ", "  ", "\u00a0", "\t", "\n", "\u2028",
+        "0001234-56.2020.4.02.5101", "123.456.789-01", "12.345.678/0001-90",
+        "١٢٣.٤٥٦.٧٨٩-٠١",
+    ]
+)
+
+
+class TestDefaultRulesMatchReadableOracles:
+    """The prefix-scannable default rules remove what their readable forms
+    in ``tests/oracles.py`` remove, and so does the whole default step."""
+
+    def test_same_rules_in_the_same_order(self):
+        assert [rule.name for rule in default_removal_rules()] == list(READABLE_REMOVAL_PATTERNS)
+
+    @given(st.lists(NOISE_PIECES, max_size=16).map("".join))
+    @settings(max_examples=1500, deadline=None)
+    def test_each_rule_matches_its_readable_form(self, text):
+        for rule in default_removal_rules():
+            expected = re.sub(READABLE_REMOVAL_PATTERNS[rule.name], " ", text)
+            assert rule.pattern.sub(" ", text) == expected, rule.name
+
+    @given(st.lists(NOISE_PIECES, max_size=16).map("".join))
+    @settings(max_examples=800, deadline=None)
+    def test_remove_noise_matches_readable_step(self, text):
+        expected = remove_noise_brute(text, default_stopwords())
+        assert remove_noise(text, PreprocessConfig()) == expected
