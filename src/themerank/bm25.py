@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -55,8 +56,9 @@ class Bm25Index:
 
     ``weights`` (W) holds the score contribution of each (term, document)
     pair, one row per term in lexicographic order, zero where the term is
-    absent. A term's document frequency is its count column's non-zeros and
-    a document's length its count row's sum.
+    absent; ``weights_t`` is its transpose and ``row_of`` maps a term to its
+    row. A term's document frequency is its count column's non-zeros and a
+    document's length its count row's sum.
     """
 
     def __init__(
@@ -70,8 +72,7 @@ class Bm25Index:
         self.terms = terms
         self.counts = counts
         self.params = params
-        self._position = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        self._row = {term: i for i, term in enumerate(terms)}
+        self.row_of = {term: i for i, term in enumerate(terms)}
         self.idfs = _idf(counts.getnnz(axis=0), len(doc_ids), params)
 
         lengths = np.asarray(counts.sum(axis=1)).ravel()
@@ -82,19 +83,7 @@ class Bm25Index:
         self.weights = sparse.csr_matrix(
             (values, counts.indices, counts.indptr), shape=counts.shape
         ).T.tocsr()
-
-    def __len__(self) -> int:
-        return len(self.doc_ids)
-
-    def position(self, doc_id: str) -> int:
-        try:
-            return self._position[doc_id]
-        except KeyError:
-            raise ValueError(f"unknown doc_id {doc_id!r}") from None
-
-    def idf(self, term: str) -> float:
-        row = self._row.get(term)
-        return 0.0 if row is None else float(self.idfs[row])
+        self.weights_t = self.weights.T
 
 
 def _idf(doc_freq: np.ndarray, n_docs: int, params: Bm25Params) -> np.ndarray:
@@ -131,47 +120,29 @@ def build_index(
     return Bm25Index(tuple(doc_id for doc_id, _ in docs), terms, counts, params or Bm25Params())
 
 
-def query_matrix(index: Bm25Index, queries: Sequence[Sequence[str]]) -> sparse.csr_matrix:
-    """Binary queries x terms matrix over the index's term rows.
-
-    Each row stores its columns ascending, which is lexicographic term order;
-    a sparse product with ``index.weights`` adds each document's per-term
-    contributions in that stored order, the order :func:`score` adds them.
-    """
-    row_of = index._row
-    indices: list[int] = []
-    indptr = [0]
-    for query in queries:
-        indices.extend(sorted({row_of[term] for term in set(query) if term in row_of}))
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr), shape=(len(queries), len(index.terms))
-    )
+def query_rows(index: Bm25Index, terms: Sequence[str], counts: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Binary queries x index-terms matrix from a queries x ``terms`` count
+    matrix (see ``term_counts``): each column relabelled to its term's row of
+    ``W``, or dropped if the index lacks the term. Both vocabularies are
+    sorted, so rows keep lexicographic term order, which products keep."""
+    term_rows = np.fromiter(map(index.row_of.get, terms, repeat(-1)), np.intp, len(terms))
+    entry_rows = term_rows[counts.indices]
+    kept = entry_rows >= 0
+    indptr = np.concatenate(([0], np.cumsum(kept)))[counts.indptr]
+    shape = (counts.shape[0], len(index.terms))
+    return sparse.csr_matrix((np.ones(indptr[-1]), entry_rows[kept], indptr), shape=shape)
 
 
-def score(index: Bm25Index, query: Sequence[str], doc_id: str) -> float:
-    """BM25 score of one document for a free-text query.
-
-    Only distinct query terms contribute; repeated query terms count once.
-    """
-    pos = index.position(doc_id)
-    total = 0.0
-    for term in sorted(set(query)):
-        row = index._row.get(term)
-        if row is not None:
-            total += index.weights[row, pos]
-    return float(total)
+def scores_for_rows(index: Bm25Index, rows: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Scores of every indexed document, in index order, for the binary query
+    of the terms at ``rows`` of ``W``. The query row times ``W`` adds each
+    document's per-term contributions in lexicographic term order, and a term
+    the query lacks adds an exact zero: equal term sets score equal bits."""
+    query_row = np.zeros(len(index.terms))
+    query_row[rows] = 1.0
+    return index.weights_t @ query_row
 
 
 def scores_for_all(index: Bm25Index, query: Sequence[str]) -> np.ndarray:
-    """Scores of every indexed document, in index order.
-
-    Accumulates the same per-term contributions as :func:`score`, in the same
-    lexicographic term order, so both paths agree bit for bit: the binary
-    query row times ``W`` visits the rows of ``W`` in order, and a term the
-    query lacks adds an exact zero.
-    """
-    query_row = np.zeros(len(index.terms))
-    query_row[[index._row[term] for term in set(query) if term in index._row]] = 1.0
-    return index.weights.T @ query_row
-
+    """``scores_for_rows`` of a free-text query's distinct indexed terms."""
+    return scores_for_rows(index, [index.row_of[t] for t in set(query) if t in index.row_of])

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from .bm25 import Bm25Index, query_matrix
+from .bm25 import Bm25Index, query_rows, scores_for_rows
 from .textproc import Sentence, term_counts, tokenize
 
 CENTRALITY_VARIANTS = ("degree", "continuous")
@@ -86,7 +86,7 @@ class Summary:
 
 
 def similarity_matrix(
-    sentences: Sequence[Sequence[str]], threshold: float = 0.1
+    sentences: Sequence[Sequence[str]], threshold: float = 0.1, counts: sparse.csr_matrix | None = None
 ) -> SentenceGraph:
     """Idf-modified cosine similarity between every pair of token sequences.
 
@@ -96,12 +96,13 @@ def similarity_matrix(
     The weights are the product of the row-normalized matrix with its
     transpose, rows unsorted as the product leaves them; (i, j) and (j, i)
     add the same terms in the same order, so they are equal bit for bit.
+    ``counts``, the sentences' ``term_counts`` matrix if given, is not changed.
     """
     n = len(sentences)
     if n < 1:
         raise ValueError("similarity_matrix requires at least one sentence")
-    terms, matrix = term_counts(sentences)
-    if not terms:
+    matrix = term_counts(sentences)[1] if counts is None else counts.copy()
+    if matrix.shape[1] == 0:
         raise ValueError("all sentences are empty")
     dfs, df_of_term = np.unique(matrix.getnnz(axis=0), return_inverse=True)
     idf = np.array([math.log(n / df) + 1.0 for df in dfs.tolist()])[df_of_term]
@@ -184,17 +185,15 @@ def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
 
 
 def guidance_scores(
-    sentences: Sequence[Sequence[str]], theme_index: Bm25Index
+    sentences: Sequence[Sequence[str]], theme_index: Bm25Index, queries: sparse.csr_matrix | None = None
 ) -> np.ndarray:
-    """Best BM25 score of each sentence used as a query against every theme.
-
-    One sparse product scores every sentence against every theme, adding
-    the terms in the order ``scores_for_all`` does, so σ equals the
-    per-sentence maxima bit for bit. Weights are >= 0, so the row maximum
-    over stored entries and implicit zeros is the maximum over all themes.
-    """
-    products = query_matrix(theme_index, sentences) @ theme_index.weights
-    return products.max(axis=1).toarray().ravel()
+    """Best BM25 score of each sentence used as a query against every theme:
+    one product of the sentences' binary ``query_rows`` (``queries``, if
+    given) with ``W``, adding terms in the order ``scores_for_all`` does, so
+    σ equals the per-sentence maxima bit for bit."""
+    if queries is None:
+        queries = query_rows(theme_index, *term_counts(sentences))
+    return (queries @ theme_index.weights).toarray().max(axis=1)
 
 
 def _max_normalize(values: np.ndarray) -> np.ndarray:
@@ -222,26 +221,43 @@ def select_top(scores: np.ndarray, size: int) -> list[int]:
 
 class SentenceAnalysis:
     """What every summary of one document shares: its sentences, their token
-    lists and, computed on first use, the centrality γ under each graph
-    setting and the guidance σ against the last theme index asked for."""
+    lists and one term-count matrix that feeds the graph, guidance and BM25
+    scoring; and on first use the centrality γ per graph setting, and the
+    binary queries and guidance σ against the last theme index asked for."""
 
     def __init__(self, sentences: Sequence[Sentence]):
         self.sentences = tuple(sentences)
         self.tokens = [tokenize(s.text) for s in self.sentences]
+        self.terms, self.counts = term_counts(self.tokens)
         self._gamma: dict[tuple, np.ndarray] = {}
+        self._queries: tuple[Bm25Index, sparse.csr_matrix] | None = None
         self._sigma: tuple[Bm25Index, np.ndarray] | None = None
 
     def gamma(self, config: SummaryConfig) -> np.ndarray:
         key = config.graph_settings
         if key not in self._gamma:
-            graph = similarity_matrix(self.tokens, threshold=config.threshold)
+            graph = similarity_matrix(self.tokens, config.threshold, self.counts)
             self._gamma[key] = centrality(graph, config)
         return self._gamma[key]
 
+    def queries(self, theme_index: Bm25Index) -> sparse.csr_matrix:
+        if self._queries is None or self._queries[0] is not theme_index:
+            self._queries = (theme_index, query_rows(theme_index, self.terms, self.counts))
+        return self._queries[1]
+
     def sigma(self, theme_index: Bm25Index) -> np.ndarray:
         if self._sigma is None or self._sigma[0] is not theme_index:
-            self._sigma = (theme_index, guidance_scores(self.tokens, theme_index))
+            sigma = guidance_scores(self.tokens, theme_index, self.queries(theme_index))
+            self._sigma = (theme_index, sigma)
         return self._sigma[1]
+
+    def bm25_scores(self, theme_index: Bm25Index, rows: Sequence[int] | None = None) -> np.ndarray:
+        """Scores of the sentences at ``rows`` (all when None) as one BM25
+        query, the union of their terms: ``scores_for_all`` of their tokens."""
+        queries = self.queries(theme_index)
+        chosen = np.zeros(len(self.sentences), dtype=bool)
+        chosen[slice(None) if rows is None else list(rows)] = True
+        return scores_for_rows(theme_index, queries.indices[np.repeat(chosen, np.diff(queries.indptr))])
 
 
 def select(

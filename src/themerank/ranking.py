@@ -141,15 +141,24 @@ class AppealAnalysis:
         return SentenceAnalysis(segment_sentences(self.cleaned, self.abbreviations))
 
 
+def _summary_rows(
+    analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
+) -> tuple[int, ...] | None:
+    """The sentences a summary representation keeps; None for fulltext."""
+    if config.representation == "fulltext":
+        return None
+    theme_index = prepared.index if config.representation == "guided_lexrank" else None
+    return select(analysis.sentences, config.summary, theme_index).indices
+
+
 def _representation_tokens(
     analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
 ) -> list[str]:
-    if config.representation == "fulltext":
+    rows = _summary_rows(analysis, config, prepared)
+    if rows is None:
         return tokenize(analysis.cleaned)
-    theme_index = prepared.index if config.representation == "guided_lexrank" else None
-    summary = select(analysis.sentences, config.summary, theme_index)
     # tokenize splits at the spaces joining the summary text's sentences
-    return [token for i in summary.indices for token in analysis.sentences.tokens[i]]
+    return [token for i in rows for token in analysis.sentences.tokens[i]]
 
 
 def _cosine_scores(
@@ -193,11 +202,15 @@ def classify_appeal(
     if analysis is None:
         memo.clear()
         analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
-    rep_tokens = _representation_tokens(analysis, config, prepared)
-    if config.similarity_method == "bm25":
-        scores = score_by_bm25(rep_tokens, prepared.index)
-    else:
+    if config.similarity_method == "cosine":
+        rep_tokens = _representation_tokens(analysis, config, prepared)
         scores = _cosine_scores(appeal, rep_tokens, config, prepared)
+    elif config.representation == "fulltext" and "sentences" not in analysis.__dict__:
+        scores = score_by_bm25(tokenize(analysis.cleaned), prepared.index)
+    else:
+        # sentences split only at whitespace, so they hold the text's terms
+        rows = _summary_rows(analysis, config, prepared)
+        scores = analysis.sentences.bm25_scores(prepared.index, rows)
     top = prepared.by_id[select_top(scores[prepared.by_id], config.k)]
     entries = tuple((prepared.index.doc_ids[i], float(scores[i])) for i in top)
     return RankedThemeList(appeal_id=appeal.id, entries=entries)

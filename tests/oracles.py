@@ -1,7 +1,10 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here is written from the documented formulas with plain loops and
-dicts, deliberately sharing no code with the package under test.
+dicts, deliberately sharing no code with the package under test. The BM25
+index oracles read a built index's ``W`` and score it term by term, or with
+one product per query set, the way the package did before it derived every
+query from a term-count matrix.
 """
 
 from __future__ import annotations
@@ -65,6 +68,44 @@ def bm25_rank_brute(all_docs, query, **kwargs) -> list[str]:
     scored = [(doc_id, bm25_score_brute(all_docs, query, doc_id, **kwargs)) for doc_id in all_docs]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return [doc_id for doc_id, _ in scored]
+
+
+def bm25_index_score(index, query: list[str], doc_id: str) -> float:
+    """BM25 score of one document for a free-text query: the rows of the
+    index's ``W`` for the distinct query terms, added in lexicographic order."""
+    if doc_id not in index.doc_ids:
+        raise ValueError(f"unknown doc_id {doc_id!r}")
+    pos = index.doc_ids.index(doc_id)
+    row_of = {term: i for i, term in enumerate(index.terms)}
+    total = 0.0
+    for term in sorted(set(query)):
+        row = row_of.get(term)
+        if row is not None:
+            total += index.weights[row, pos]
+    return float(total)
+
+
+def bm25_query_matrix(index, queries: list[list[str]]) -> sparse.csr_matrix:
+    """Binary queries x terms matrix over the index's term rows, each row's
+    columns ascending: lexicographic term order."""
+    row_of = {term: i for i, term in enumerate(index.terms)}
+    indices: list[int] = []
+    indptr = [0]
+    for query in queries:
+        indices.extend(sorted({row_of[term] for term in set(query) if term in row_of}))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr), shape=(len(queries), len(index.terms))
+    )
+
+
+def guidance_brute(sentences: list[list[str]], index) -> np.ndarray:
+    """σ: each sentence's best BM25 score against every theme, from one
+    product of the binary query matrix with ``W``. Weights are >= 0, so the
+    row maximum over stored entries and implicit zeros is the maximum over
+    all themes."""
+    products = bm25_query_matrix(index, sentences) @ index.weights
+    return products.max(axis=1).toarray().ravel()
 
 
 # ---------------------------------------------------------------------------

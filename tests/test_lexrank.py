@@ -10,6 +10,7 @@ from scipy import sparse
 
 from oracles import (
     degree_brute,
+    guidance_brute,
     guided_selection_brute,
     select_top_sorted,
     sentence_similarity_brute,
@@ -244,7 +245,7 @@ class TestGuidanceScores:
         assert sigma.tolist() == [0.0]
 
     def test_singleton_catalog_equals_direct_score(self):
-        from themerank.bm25 import score
+        from oracles import bm25_index_score as score
 
         index = build_index([("T1", ["prescrição", "fiscal"])])
         sentence = ["a", "prescrição", "ocorreu"]
@@ -459,3 +460,52 @@ class TestSharedAnalysis:
                     )
             fresh = 3 * len(configs)  # one graph per summarize call
             assert len(graphs) == 2 + fresh  # one per threshold from the shared analysis
+
+
+_THEMES = st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12), min_size=1, max_size=8)
+_SENTENCES = st.lists(st.lists(st.sampled_from("abcdefgxyz"), max_size=10), min_size=1, max_size=10)
+
+
+class TestSharedCounts:
+    """Guidance and BM25 scoring from the analysis's one term-count matrix
+    keep the bits of the per-query paths they replace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        themes=_THEMES,
+        sentences=_SENTENCES,
+        shared=st.booleans(),
+        variant=st.sampled_from(["nonnegative", "epsilon_floor"]),
+    )
+    def test_sigma_equals_oracle_bitwise(self, themes, sentences, shared, variant):
+        # empty sentences, sentences of unindexed tokens only and, unless
+        # shared, an index with no term in common with the document
+        prefix = "" if shared else "t"
+        docs = [(f"T{i}", [prefix + t for t in tokens]) for i, tokens in enumerate(themes)]
+        index = build_index(docs, Bm25Params(idf_variant=variant))
+        analysis = SentenceAnalysis(make_sentences([" ".join(toks) for toks in sentences]))
+        assert analysis.tokens == sentences
+        expected = guidance_brute(sentences, index)
+        assert analysis.sigma(index).tobytes() == expected.tobytes()
+        assert guidance_scores(sentences, index).tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        themes=_THEMES,
+        sentences=_SENTENCES,
+        size=st.integers(1, 12),
+        variant=st.sampled_from(["nonnegative", "epsilon_floor"]),
+    )
+    def test_row_scores_equal_token_scores_bitwise(self, themes, sentences, size, variant):
+        assume(any(sentences))
+        index = build_index(
+            [(f"T{i}", tokens) for i, tokens in enumerate(themes)], Bm25Params(idf_variant=variant)
+        )
+        analysis = SentenceAnalysis(make_sentences([" ".join(toks) for toks in sentences]))
+        for theme_index in (None, index):  # lexrank, guided_lexrank
+            rows = select(analysis, SummaryConfig(size=size), theme_index).indices
+            tokens = [token for i in rows for token in sentences[i]]
+            got = analysis.bm25_scores(index, rows)
+            assert got.tobytes() == scores_for_all(index, tokens).tobytes()
+        everything = [token for tokens in sentences for token in tokens]  # fulltext
+        assert analysis.bm25_scores(index).tobytes() == scores_for_all(index, everything).tobytes()
