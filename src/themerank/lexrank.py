@@ -221,9 +221,10 @@ def select_top(scores: np.ndarray, size: int) -> list[int]:
 
 class SentenceAnalysis:
     """What every summary of one document shares: its sentences, their token
-    lists and one term-count matrix that feeds the graph, guidance and BM25
-    scoring; and on first use the centrality γ per graph setting, and the
-    binary queries and guidance σ against the last theme index asked for."""
+    lists and one term-count matrix that feeds the graph, guidance and the
+    BM25 query of each summary; and on first use the centrality γ per graph
+    setting, and the binary queries and guidance σ against the last theme
+    index asked for."""
 
     def __init__(self, sentences: Sequence[Sentence]):
         self.sentences = tuple(sentences)
@@ -251,12 +252,12 @@ class SentenceAnalysis:
             self._sigma = (theme_index, sigma)
         return self._sigma[1]
 
-    def bm25_scores(self, theme_index: Bm25Index, rows: Sequence[int] | None = None) -> np.ndarray:
-        """Scores of the sentences at ``rows`` (all when None) as one BM25
-        query, the union of their terms: ``scores_for_all`` of their tokens."""
+    def bm25_scores(self, theme_index: Bm25Index, rows: Sequence[int]) -> np.ndarray:
+        """Scores of the sentences at ``rows`` as one BM25 query, the union
+        of their terms: ``scores_for_all`` of their tokens."""
         queries = self.queries(theme_index)
         chosen = np.zeros(len(self.sentences), dtype=bool)
-        chosen[slice(None) if rows is None else list(rows)] = True
+        chosen[list(rows)] = True
         return scores_for_rows(theme_index, queries.indices[np.repeat(chosen, np.diff(queries.indptr))])
 
 

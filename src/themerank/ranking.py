@@ -143,10 +143,8 @@ class AppealAnalysis:
 
 def _summary_rows(
     analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
-) -> tuple[int, ...] | None:
-    """The sentences a summary representation keeps; None for fulltext."""
-    if config.representation == "fulltext":
-        return None
+) -> tuple[int, ...]:
+    """The sentences a summary representation keeps."""
     theme_index = prepared.index if config.representation == "guided_lexrank" else None
     return select(analysis.sentences, config.summary, theme_index).indices
 
@@ -154,9 +152,9 @@ def _summary_rows(
 def _representation_tokens(
     analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
 ) -> list[str]:
-    rows = _summary_rows(analysis, config, prepared)
-    if rows is None:
+    if config.representation == "fulltext":
         return tokenize(analysis.cleaned)
+    rows = _summary_rows(analysis, config, prepared)
     # tokenize splits at the spaces joining the summary text's sentences
     return [token for i in rows for token in analysis.sentences.tokens[i]]
 
@@ -202,15 +200,14 @@ def classify_appeal(
     if analysis is None:
         memo.clear()
         analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
-    if config.similarity_method == "cosine":
-        rep_tokens = _representation_tokens(analysis, config, prepared)
-        scores = _cosine_scores(appeal, rep_tokens, config, prepared)
-    elif config.representation == "fulltext" and "sentences" not in analysis.__dict__:
-        scores = score_by_bm25(tokenize(analysis.cleaned), prepared.index)
-    else:
-        # sentences split only at whitespace, so they hold the text's terms
+    if config.similarity_method == "bm25" and config.representation != "fulltext":
         rows = _summary_rows(analysis, config, prepared)
         scores = analysis.sentences.bm25_scores(prepared.index, rows)
+    elif config.similarity_method == "bm25":
+        scores = score_by_bm25(tokenize(analysis.cleaned), prepared.index)
+    else:
+        rep_tokens = _representation_tokens(analysis, config, prepared)
+        scores = _cosine_scores(appeal, rep_tokens, config, prepared)
     top = prepared.by_id[select_top(scores[prepared.by_id], config.k)]
     entries = tuple((prepared.index.doc_ids[i], float(scores[i])) for i in top)
     return RankedThemeList(appeal_id=appeal.id, entries=entries)

@@ -507,5 +507,6 @@ class TestSharedCounts:
             tokens = [token for i in rows for token in sentences[i]]
             got = analysis.bm25_scores(index, rows)
             assert got.tobytes() == scores_for_all(index, tokens).tobytes()
-        everything = [token for tokens in sentences for token in tokens]  # fulltext
-        assert analysis.bm25_scores(index).tobytes() == scores_for_all(index, everything).tobytes()
+        everything = [token for tokens in sentences for token in tokens]
+        got = analysis.bm25_scores(index, range(len(sentences)))
+        assert got.tobytes() == scores_for_all(index, everything).tobytes()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synth import make_appeals, make_themes, read_rankings, write_embeddings
@@ -24,7 +24,7 @@ from themerank.ranking import (
     write_rankings,
 )
 from themerank.similarity import EmbeddingTable
-from themerank.textproc import PreprocessConfig, remove_noise, tokenize
+from themerank.textproc import PreprocessConfig, tokenize
 from themerank.lexrank import SummaryConfig, select
 
 
@@ -334,34 +334,6 @@ class TestSummaryTokens:
         theme_index = prepared.index if representation == "guided_lexrank" else None
         summary = select(analysis.sentences, config.summary, theme_index)
         assert tokens == tokenize(summary.text)
-
-
-# terminals with and without whitespace after them, final and non-final
-# sigma, a capital letter whose lowercase is two characters, decomposed
-# letters and whitespace that is not a space
-_FULLTEXT_PIECES = st.sampled_from(
-    [".", "!", "?", "…", ". ", "?\t", "…\u00a0", "ΑΣ", "Σ", "ς", "σ", "İ", "İs", "e\u0301",
-     "E\u0301", "a\u0303o", "\u00a0", "\u2000", "\t", " ", "Prazo", "de", "7", "art", "fls"]
-)
-
-
-class TestFulltextTerms:
-    """A fulltext BM25 query built from the sentence rows holds the terms of
-    the cleaned text, so it scores as the cleaned text's tokens do."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.lists(_FULLTEXT_PIECES, min_size=1, max_size=40).map("".join), st.booleans())
-    def test_sentence_terms_equal_cleaned_terms(self, text, remove_terms):
-        preprocess = PreprocessConfig(remove_terms=remove_terms)
-        assume(remove_noise(text, preprocess).strip())
-        config = replace(PLAIN_CONFIG, preprocess=preprocess)
-        appeal, catalog = AppealRecord("A1", text), catalog_of(("T1", "prazo ας σ i 7"), ("T2", "é ão s art"))
-        memo: dict = {}
-        from_text = classify_appeal(appeal, catalog, config, memo=memo)
-        analysis = memo[preprocess]
-        assert set(analysis.sentences.terms) == set(tokenize(analysis.cleaned))
-        from_rows = classify_appeal(appeal, catalog, config, memo=memo)
-        assert [(t, repr(x)) for t, x in from_rows.entries] == [(t, repr(x)) for t, x in from_text.entries]
 
 
 class TestClassifyGrid:
