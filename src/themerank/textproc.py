@@ -283,19 +283,29 @@ def _case_classes(chars) -> dict[str, str]:
     return classes
 
 
-def _trie_pattern(node: dict) -> str:
-    """The pattern of a trie node: a run of single-child nodes as literals,
-    then a group at a branch point or where a word ends (key ``""``), the
-    group made optional after its children, so longer words are tried first."""
-    pattern = ""
-    while len(node) == 1 and "" not in node:
-        ((ch, node),) = node.items()
-        pattern += re.escape(ch)
-    keys = sorted(ch for ch in node if ch)
-    if not keys:
-        return pattern
-    group = "|".join(re.escape(ch) + _trie_pattern(node[ch]) for ch in keys)
-    return f"{pattern}(?:{group}){'?' if '' in node else ''}"
+def _trie_pattern(root: dict) -> str:
+    """The pattern of a trie: a run of single-child nodes as literals, then a
+    group at a branch point or where a word ends (key ``""``), the group made
+    optional after its children, so longer words are tried first. Written
+    out depth first from an explicit stack, so nesting costs no recursion."""
+    parts: list[str] = []
+    stack: list[str | dict] = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        while len(node) == 1 and "" not in node:
+            ((ch, node),) = node.items()
+            parts.append(re.escape(ch))
+        keys = sorted(ch for ch in node if ch)
+        if keys:
+            pending: list[str | dict] = ["(?:"]
+            for ch in keys:
+                pending += [re.escape(ch), node[ch], "|"]
+            pending[-1] = ")?" if "" in node else ")"
+            stack.extend(reversed(pending))
+    return "".join(parts)
 
 
 @lru_cache(maxsize=16)
@@ -308,9 +318,10 @@ def stopword_regex(words: frozenset[str]) -> re.Pattern | None:
     an alternation of the words sorted longest first, without trying every
     word at every word start. Entries may span punctuation (``d'``).
 
-    Groups nest once per branch point or word end along an entry, so only a
-    set holding hundreds of nested prefixes of one entry exceeds Python's
-    recursion limit while the pattern is built; that raises ValueError.
+    Groups nest once per branch point or word end along an entry. ``re``
+    parses nested groups recursively, so only a set holding many hundreds of
+    nested prefixes of one entry exceeds Python's recursion limit when the
+    pattern compiles; that raises ValueError.
     """
     if not words:
         return None

@@ -765,13 +765,28 @@ class TestOneLineErrors:
         )
         assert f"{embeddings}: line 3: non-finite component" in err
 
+    @staticmethod
+    def nested_stopwords_config(tmp_path, prefixes):
+        stopwords = tmp_path / "stop.txt"
+        stopwords.write_text("".join("a" * i + "\n" for i in range(1, prefixes + 1)), encoding="utf-8")
+        config = tmp_path / "run.yaml"
+        config.write_text(f"preprocess:\n  stopwords: {stopwords}\n", encoding="utf-8")
+        return config
+
+    def test_stopword_set_of_hundreds_of_nested_prefixes_compiles(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        config = self.nested_stopwords_config(tmp_path, 399)
+        code, _, err = run_cli(
+            capsys, "evaluate", "--appeals", str(tiny_appeals_file),
+            "--themes", str(tiny_themes_file), "--config", str(config),
+        )
+        assert code == 0, err
+
     def test_stopword_set_that_cannot_compile(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
     ):
-        stopwords = tmp_path / "stop.txt"
-        stopwords.write_text("".join("a" * i + "\n" for i in range(1, 400)), encoding="utf-8")
-        config = tmp_path / "run.yaml"
-        config.write_text(f"preprocess:\n  stopwords: {stopwords}\n", encoding="utf-8")
+        config = self.nested_stopwords_config(tmp_path, 1000)
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert "recursion limit" in err
 

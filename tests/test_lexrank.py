@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from themerank.bm25 import Bm25Params, build_index, scores_for_all
 from themerank import lexrank
 from themerank.lexrank import (
     SentenceAnalysis,
-    SentenceGraph,
     Summary,
     SummaryConfig,
     combined_scores,
@@ -36,9 +37,24 @@ from themerank.lexrank import (
 from themerank.textproc import Sentence
 
 
-def graph_from_dense(weights, threshold=0.1) -> SentenceGraph:
-    arr = np.asarray(weights, dtype=float)
-    return SentenceGraph(n=arr.shape[0], weights=sparse.csr_matrix(arr), threshold=threshold)
+@dataclass(frozen=True)
+class WeightsGraph:
+    """A graph given by its weights, every row in one new block: what the
+    centralities read of a ``SentenceGraph``."""
+
+    weights: sparse.csr_matrix
+    threshold: float
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
+
+    def blocks(self):
+        yield 0, self.weights.copy()
+
+
+def graph_from_dense(weights, threshold=0.1) -> WeightsGraph:
+    return WeightsGraph(sparse.csr_matrix(np.asarray(weights, dtype=float)), threshold)
 
 
 def random_token_lists(rng: random.Random, max_sentences=10, vocab=12):
@@ -137,11 +153,66 @@ class TestGraphMatchesRebuild:
     def test_gamma_bitwise(self, token_lists, threshold):
         assume(any(token_lists))
         graph = similarity_matrix(token_lists, threshold=threshold)
-        rebuilt = SentenceGraph(
-            n=len(token_lists), weights=similarity_graph_rebuilt(token_lists), threshold=threshold
-        )
+        rebuilt = WeightsGraph(similarity_graph_rebuilt(token_lists), threshold)
         assert degree_centrality(graph).tobytes() == degree_centrality(rebuilt).tobytes()
         assert continuous_centrality(graph).tobytes() == continuous_centrality(rebuilt).tobytes()
+
+
+class TestGraphInBlocks:
+    """γ from an analysis, its graph made three rows at a time so that most
+    draws span several blocks, equals the centrality of the full rebuilt
+    graph bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sentence_token_lists, st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.6, 0.99]))
+    @example([["a"]], 0.1)  # n = 1
+    @example([["a"], ["a"], ["a"], ["a"]], 0.1)  # row 3's diagonal lies in the second block
+    @example([[], ["a", "b"], [], ["b", "c"], ["a"], []], 0.1)
+    @example([["a", "b"], ["a", "c"], ["d"], ["b", "e"]], 0.99)  # above every off-diagonal weight
+    def test_degree_equals_full_graph_count(self, token_lists, threshold):
+        assume(any(token_lists))
+        analysis = SentenceAnalysis(make_sentences([" ".join(tokens) for tokens in token_lists]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexrank, "ROW_BLOCK", 3)
+            gamma = analysis.gamma(SummaryConfig(threshold=threshold))
+        rebuilt = similarity_graph_rebuilt(token_lists).toarray().tolist()
+        assert gamma.tobytes() == np.array(degree_brute(rebuilt, threshold)).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(sentence_token_lists)
+    @example([[], ["a", "b"], [], ["b", "c"], ["a"], []])
+    def test_stacked_blocks_equal_rebuild(self, token_lists):
+        assume(any(token_lists))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexrank, "ROW_BLOCK", 3)
+            graph = similarity_matrix(token_lists)
+            gamma = SentenceAnalysis(
+                make_sentences([" ".join(tokens) for tokens in token_lists])
+            ).gamma(SummaryConfig(centrality_variant="continuous"))
+        rebuilt = similarity_graph_rebuilt(token_lists)
+        assert_same_csr(graph.weights.sorted_indices(), rebuilt)
+        assert gamma.tobytes() == continuous_centrality(WeightsGraph(rebuilt, 0.1)).tobytes()
+
+    def test_degree_never_holds_the_full_graph(self):
+        rng = random.Random(61)
+        words = [f"w{i}" for i in range(40)]
+        n = 2000
+        texts = [
+            "comum " + " ".join(rng.choice(words) for _ in range(rng.randint(3, 12)))
+            for _ in range(n)
+        ]
+        analysis = SentenceAnalysis(make_sentences(texts))
+        assert all("comum" in tokens for tokens in analysis.tokens)
+        # every pair shares a term, so the full graph stores all n² entries,
+        # each a float64 weight and an int32 column index
+        full_graph_bytes = n * n * 12
+        tracemalloc.start()
+        try:
+            analysis.gamma(SummaryConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_graph_bytes / 4
 
 
 class TestDegreeCentrality:

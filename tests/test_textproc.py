@@ -307,11 +307,19 @@ class TestLinearKernelsMatchOracles:
         config = PreprocessConfig(stopwords=frozenset({"s", "ſ.x"}), removal_patterns=())
         assert remove_noise("s.x y", config) == "y"
 
+    def test_hundreds_of_nested_prefixes_match_alternation(self):
+        # one group per word end along an entry: the pattern is built without
+        # recursion, and re compiles 399 nested groups
+        words = frozenset("a" * i for i in range(1, 400))
+        text = " ".join(["a" * i for i in (1, 2, 57, 398, 399, 400, 401)] + ["b", "a_a", "aab"])
+        expected = stopword_regex_brute(words).sub(" ", text)
+        assert stopword_regex(words).sub(" ", text) == expected
+        assert expected.split() == ["a" * 400, "a" * 401, "b", "_", "aab"]
+
     def test_deeply_nested_prefixes_raise_value_error(self):
-        # one group per word end along an entry: 399 nested prefixes exceed
-        # Python's recursion limit while the pattern is built
+        # 1,000 nested groups exceed Python's recursion limit in re's parser
         with pytest.raises(ValueError, match="recursion limit"):
-            stopword_regex(frozenset("a" * i for i in range(1, 400)))
+            stopword_regex(frozenset("a" * i for i in range(1, 1001)))
 
     @given(
         st.lists(
