@@ -71,7 +71,6 @@ class Bm25Index:
         self.doc_ids = doc_ids
         self.terms = terms
         self.counts = counts
-        self.params = params
         self.row_of = {term: i for i, term in enumerate(terms)}
         self.idfs = _idf(counts.getnnz(axis=0), len(doc_ids), params)
 

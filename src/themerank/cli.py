@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict
 from pathlib import Path
 
 from . import config as cfgmod
@@ -22,6 +23,8 @@ from . import corpus as corpusmod
 from .config import ConfigError, GridCell, build_grid, build_pipeline, cell_config
 from .metrics import MetricReport, evaluate_run
 from .ranking import (
+    REPRESENTATIONS,
+    SIMILARITY_METHODS,
     CorpusOutcome,
     PipelineConfig,
     PipelineError,
@@ -49,13 +52,13 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help=f"suggestion list length (default {PipelineConfig.k})")
     parser.add_argument(
         "--representation",
-        choices=("fulltext", "lexrank", "guided_lexrank"),
+        choices=REPRESENTATIONS,
         help="appeal representation fed to the similarity stage",
     )
     parser.add_argument("--summary-size", type=int, help="sentences kept in the summary")
     parser.add_argument("--alpha", type=float, help="centrality weight in guided summaries")
     parser.add_argument("--beta", type=float, help="guidance weight in guided summaries")
-    parser.add_argument("--similarity", choices=("bm25", "cosine"), help="theme scoring method")
+    parser.add_argument("--similarity", choices=SIMILARITY_METHODS, help="theme scoring method")
     parser.add_argument(
         "--remove-terms",
         type=_bool_flag,
@@ -201,7 +204,7 @@ def _report(
     written there. Returns (report, metrics document).
     """
     report = evaluate_run(results, gold, k)
-    document = report.as_dict()
+    document = asdict(report)
     document.update(failures=len(failures), preprocess_order=PREPROCESS_ORDER, **label)
     if outdir is not None:
         _write_atomic(outdir / f"rankings{suffix}.csv", lambda tmp: write_rankings(tmp, results, gold))
@@ -330,19 +333,7 @@ def cmd_stats(args) -> int:
         text_col=args.text_col,
         theme_col=None,
     )
-    stats = corpusmod.corpus_stats(records)
-    print(
-        json.dumps(
-            {
-                "doc_count": stats.doc_count,
-                "mean_words": stats.mean_words,
-                "median_words": stats.median_words,
-                "min_words": stats.min_words,
-                "max_words": stats.max_words,
-            },
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(asdict(corpusmod.corpus_stats(records)), sort_keys=True))
     return 0
 
 

@@ -7,7 +7,7 @@ empty config is valid. Command-line flags always win over file values.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterator
 
 import yaml
@@ -46,22 +46,8 @@ DEFAULT_CONFIG: dict[str, Any] = {
         "abbreviations": None,
     },
     "representation": PipelineConfig.representation,
-    "summary": {
-        "size": SummaryConfig.size,
-        "alpha": SummaryConfig.alpha,
-        "beta": SummaryConfig.beta,
-        "centrality": SummaryConfig.centrality_variant,
-        "threshold": SummaryConfig.threshold,
-        "damping": SummaryConfig.damping,
-        "tolerance": SummaryConfig.tolerance,
-        "max_iterations": SummaryConfig.max_iterations,
-    },
-    "bm25": {
-        "k1": Bm25Params.k1,
-        "b": Bm25Params.b,
-        "idf_variant": Bm25Params.idf_variant,
-        "epsilon": Bm25Params.epsilon,
-    },
+    "summary": asdict(SummaryConfig()),
+    "bm25": asdict(Bm25Params()),
     "similarity": PipelineConfig.similarity_method,
     "k": PipelineConfig.k,
     "embeddings": PipelineConfig.embedding_source,
@@ -83,7 +69,6 @@ OVERRIDE_PATHS: dict[str, tuple[str, ...]] = {
     "similarity": ("similarity",),
     "remove_terms": ("preprocess", "remove_terms"),
     "embeddings": ("embeddings",),
-    "delimiter": ("delimiter",),
 }
 
 
@@ -247,29 +232,13 @@ def _embedding_source(similarity: str, embeddings: str | None) -> str | None:
 
 def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
     """Materialize a validated PipelineConfig from a config merged over DEFAULT_CONFIG."""
-    summary = config["summary"]
-    bm25 = config["bm25"]
     try:
         return PipelineConfig(
             preprocess=build_preprocess(config),
             representation=config["representation"],
-            summary=SummaryConfig(
-                size=int(summary["size"]),
-                alpha=float(summary["alpha"]),
-                beta=float(summary["beta"]),
-                centrality_variant=summary["centrality"],
-                threshold=float(summary["threshold"]),
-                damping=float(summary["damping"]),
-                tolerance=float(summary["tolerance"]),
-                max_iterations=int(summary["max_iterations"]),
-            ),
+            summary=SummaryConfig(**config["summary"]),
             similarity_method=config["similarity"],
-            bm25=Bm25Params(
-                k1=float(bm25["k1"]),
-                b=float(bm25["b"]),
-                idf_variant=bm25["idf_variant"],
-                epsilon=float(bm25["epsilon"]),
-            ),
+            bm25=Bm25Params(**config["bm25"]),
             k=int(config["k"]),
             embedding_source=_embedding_source(config["similarity"], config["embeddings"]),
         )

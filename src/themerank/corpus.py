@@ -40,11 +40,11 @@ class ThemeCatalog:
 
     def __init__(self, themes: Iterable[ThemeRecord]):
         self.themes: tuple[ThemeRecord, ...] = tuple(themes)
-        self._by_id: dict[str, ThemeRecord] = {}
+        self._ids: set[str] = set()
         for theme in self.themes:
-            if theme.id in self._by_id:
+            if theme.id in self._ids:
                 raise CorpusError(f"duplicate theme id {theme.id!r}")
-            self._by_id[theme.id] = theme
+            self._ids.add(theme.id)
 
     def __len__(self) -> int:
         return len(self.themes)
@@ -53,13 +53,7 @@ class ThemeCatalog:
         return iter(self.themes)
 
     def __contains__(self, theme_id: str) -> bool:
-        return theme_id in self._by_id
-
-    def get(self, theme_id: str) -> ThemeRecord:
-        return self._by_id[theme_id]
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(t.id for t in self.themes)
+        return theme_id in self._ids
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,8 @@ def _read_records(
     duplicate ids or blank text are errors reported with their row number.
     The label column is optional: absent from the header, every label is None.
     """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise CorpusError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"corpus file not found: {path}")
@@ -200,17 +196,12 @@ def write_themes(
     _write_records(path, delimiter, [[id_col, text_col], *rows])
 
 
-def unresolvable_labels(appeals: Iterable[AppealRecord], catalog: ThemeCatalog) -> list[str]:
-    """Ids of labeled appeals whose label does not resolve in the catalog.
-
-    Flagged appeals are kept in the corpus; evaluation skips them and reports
-    the skip count rather than silently altering the gold set.
-    """
-    return [a.id for a in appeals if a.label_theme_id is not None and a.label_theme_id not in catalog]
-
-
 def gold_labels(appeals: Iterable[AppealRecord], catalog: ThemeCatalog) -> dict[str, str]:
-    """Mapping appeal id -> gold theme id, restricted to resolvable labels."""
+    """Mapping appeal id -> gold theme id, restricted to resolvable labels.
+
+    An appeal whose label is not in the catalog stays in the corpus;
+    evaluation skips it and reports the skip count.
+    """
     return {
         a.id: a.label_theme_id
         for a in appeals

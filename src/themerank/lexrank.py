@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ class SentenceGraph:
     """Sentence similarity as the unit-norm tf-idf rows ``N``, with the edge
     threshold. The weights are ``N Nᵀ`` clipped to [0, 1] with a unit
     diagonal on the non-empty rows; ``blocks`` makes them a block of rows at
-    a time, and ``weights`` stacks those blocks on first read."""
+    a time, and ``weights`` stacks those blocks on each read."""
 
     normalized: sparse.csr_matrix
     threshold: float
@@ -67,8 +66,9 @@ class SentenceGraph:
         block.data[block.indices == _entry_rows(block, start)] = 1.0
         return block
 
-    @cached_property
+    @property
     def weights(self) -> sparse.csr_matrix:
+        """The whole n × n graph: a new matrix on each read, the caller's to change."""
         return sparse.vstack([block for _, block in self.blocks()], format="csr")
 
 
@@ -79,7 +79,7 @@ class SummaryConfig:
     size: int = 15
     alpha: float = 1.0
     beta: float = 1.0
-    centrality_variant: str = "degree"
+    centrality: str = "degree"
     threshold: float = 0.1
     damping: float = 0.85
     tolerance: float = 1e-8
@@ -90,10 +90,9 @@ class SummaryConfig:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
-        if self.centrality_variant not in CENTRALITY_VARIANTS:
+        if self.centrality not in CENTRALITY_VARIANTS:
             raise ValueError(
-                f"centrality_variant must be one of {CENTRALITY_VARIANTS}, "
-                f"got {self.centrality_variant!r}"
+                f"centrality must be one of {CENTRALITY_VARIANTS}, got {self.centrality!r}"
             )
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
@@ -104,7 +103,7 @@ class SummaryConfig:
     def graph_settings(self) -> tuple:
         """The knobs centrality depends on: summaries that agree here share γ."""
         return (
-            self.centrality_variant,
+            self.centrality,
             self.threshold,
             self.damping,
             self.tolerance,
@@ -114,11 +113,10 @@ class SummaryConfig:
 
 @dataclass(frozen=True)
 class Summary:
-    """Selected sentence indices (document order), their selection order and text."""
+    """Selected sentence indices (document order) and their selection order."""
 
     indices: tuple[int, ...]
     order: tuple[int, ...]
-    text: str
 
 
 def similarity_matrix(
@@ -188,18 +186,18 @@ def continuous_centrality(
     Rows are normalized to transition probabilities (all-zero rows become
     uniform), mixed with the uniform distribution at rate ``1 - damping``,
     and iterated until the L1 change drops below ``tolerance``. Each row is
-    read in column order, whatever order the graph stores it in: the graph
-    is symmetric bit for bit, so its transpose converted back to CSR holds
-    the same rows with their columns ascending.
+    summed in column order, whatever order the graph stores it in, and the
+    one graph read becomes the transition matrix in place.
     """
     n = graph.n
-    weights = graph.weights.T.tocsr()
-    row_sums = np.asarray(weights.sum(axis=1)).ravel()
+    transition = graph.weights
+    transition.sort_indices()
+    row_sums = np.asarray(transition.sum(axis=1)).ravel()
     if not np.any(row_sums > 0):
         raise ValueError("graph has no positive row sums")
 
     inv = np.divide(1.0, row_sums, out=np.zeros(n), where=row_sums > 0)
-    transition = (sparse.diags(inv) @ weights).tocsr()
+    transition.data *= np.repeat(inv, np.diff(transition.indptr))
     zero_rows = row_sums <= 0
 
     x = np.full(n, 1.0 / n)
@@ -216,7 +214,7 @@ def continuous_centrality(
 
 
 def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
-    if config.centrality_variant == "continuous":
+    if config.centrality == "continuous":
         return continuous_centrality(
             graph, config.damping, config.tolerance, config.max_iterations
         )
@@ -305,17 +303,15 @@ def select(
     config: SummaryConfig,
     theme_index: Bm25Index | None = None,
 ) -> Summary:
-    """The summary of ``config``'s size, drawn from an analysed document and
-    re-joined in document order. It is guided exactly when ``theme_index``
+    """The summary of ``config``'s size, drawn from an analysed document, its
+    sentences in document order. It is guided exactly when ``theme_index``
     is given: then ``config``'s weights blend centrality with guidance."""
     scores = analysis.gamma(config)
     if theme_index is not None:
         scores = combined_scores(scores, analysis.sigma(theme_index), config.alpha, config.beta)
 
     order = select_top(scores, config.size)
-    indices = sorted(order)
-    text = " ".join(analysis.sentences[i].text for i in indices)
-    return Summary(indices=tuple(indices), order=tuple(order), text=text)
+    return Summary(indices=tuple(sorted(order)), order=tuple(order))
 
 
 def summarize(
@@ -323,5 +319,5 @@ def summarize(
     config: SummaryConfig,
     theme_index: Bm25Index | None = None,
 ) -> Summary:
-    """Extract the highest-scoring sentences and re-join them in document order."""
+    """The highest-scoring sentences, in document order."""
     return select(SentenceAnalysis(sentences), config, theme_index)

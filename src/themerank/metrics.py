@@ -42,18 +42,6 @@ class MetricReport:
     query_count: int
     skipped: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "recall_at_k": self.recall_at_k,
-            "precision_at_k": self.precision_at_k,
-            "map_at_k": self.map_at_k,
-            "f1": self.f1,
-            "ndcg_at_k": self.ndcg_at_k,
-            "query_count": self.query_count,
-            "skipped": self.skipped,
-        }
-
 
 def recall_at_k(judgment: Judgment, k: int) -> float:
     """Relevant items found in the first k positions / total relevant items."""

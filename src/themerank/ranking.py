@@ -155,7 +155,7 @@ def _representation_tokens(
     if config.representation == "fulltext":
         return tokenize(analysis.cleaned)
     rows = _summary_rows(analysis, config, prepared)
-    # tokenize splits at the spaces joining the summary text's sentences
+    # tokenize splits at spaces, so these are the tokens of the sentences joined
     return [token for i in rows for token in analysis.sentences.tokens[i]]
 
 

@@ -268,6 +268,30 @@ def stationary_brute(weights, damping: float) -> np.ndarray:
     return vector / vector.sum()
 
 
+def continuous_centrality_transposed(
+    graph, damping: float = 0.85, tolerance: float = 1e-8, max_iterations: int = 1000
+) -> np.ndarray:
+    """Continuous centrality over three n × n copies of the graph: its
+    weights, their transpose converted back to CSR (rows in column order,
+    since the graph is symmetric bit for bit) and the transition
+    ``diags(1/rowsum) @ weights``. The package reads the weights once and
+    scales them in place; γ must not change."""
+    n = graph.n
+    weights = graph.weights.T.tocsr()
+    row_sums = np.asarray(weights.sum(axis=1)).ravel()
+    inv = np.divide(1.0, row_sums, out=np.zeros(n), where=row_sums > 0)
+    transition = (sparse.diags(inv) @ weights).tocsr()
+    zero_rows = row_sums <= 0
+    x = np.full(n, 1.0 / n)
+    uniform = (1.0 - damping) / n
+    for _ in range(max_iterations):
+        nxt = damping * (x @ transition + x[zero_rows].sum() / n) + uniform
+        if np.abs(nxt - x).sum() < tolerance:
+            return nxt / nxt.sum()
+        x = nxt
+    raise RuntimeError(f"power iteration did not converge in {max_iterations} iterations")
+
+
 # ---------------------------------------------------------------------------
 # guided selection
 

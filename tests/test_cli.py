@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from themerank import lexrank, ranking
-from themerank.cli import main
+from themerank.cli import build_parser, main
+from themerank.config import OVERRIDE_PATHS
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -220,6 +221,36 @@ class TestEvaluate:
         )
         assert code == 0
         assert json.loads(out.splitlines()[-1])["k"] == 1
+
+    def test_floats_spelt_as_integers(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
+        rankings = []
+        spellings = {"ints": (1, 0, 2, 1), "floats": (1.0, 0.0, 2.0, 1.0)}
+        for name, (alpha, threshold, k1, b) in spellings.items():
+            config = tmp_path / f"{name}.yaml"
+            config.write_text(
+                f"summary:\n  alpha: {alpha}\n  threshold: {threshold}\nbm25:\n  k1: {k1}\n  b: {b}\n",
+                encoding="utf-8",
+            )
+            args = self.evaluate_args(
+                tiny_appeals_file, tiny_themes_file, "--config", str(config), "--out", str(tmp_path / name)
+            )
+            code, _, err = run_cli(capsys, *args)
+            assert code == 0, err
+            rankings.append((tmp_path / name / "rankings.csv").read_bytes())
+        assert rankings[0] == rankings[1]
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--themes", "t.csv"],
+            ["evaluate", "--appeals", "a.csv", "--themes", "t.csv"],
+            ["grid", "--appeals", "a.csv", "--themes", "t.csv"],
+        ],
+    )
+    def test_every_override_is_a_flag(self, argv):
+        assert set(OVERRIDE_PATHS) <= set(vars(build_parser().parse_args(argv)))
 
 
 class TestGrid:
@@ -739,6 +770,15 @@ class TestOneLineErrors:
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert message in err
 
+    @pytest.mark.parametrize("delimiter", ["", ",,"])
+    def test_bad_delimiter_in_run_file(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, delimiter
+    ):
+        config = tmp_path / "run.yaml"
+        config.write_text(f"delimiter: '{delimiter}'\n", encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
+        assert f"delimiter must be one character, got {delimiter!r}" in err
+
     def test_grid_summary_size_not_an_integer(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
     ):
@@ -836,6 +876,13 @@ class TestStats:
         )
         assert code == 0
         assert json.loads(out)["max_words"] == 3
+
+    def test_bad_delimiter_flag(self, capsys, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("id,text\nD1,um dois\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "stats", "--input", str(path), "--delimiter", "")
+        assert code == 1
+        assert err == "error: delimiter must be one character, got ''\n"
 
     def test_single_document(self, capsys, tmp_path):
         path = tmp_path / "one.csv"

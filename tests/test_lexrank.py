@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from oracles import (
+    continuous_centrality_transposed,
     degree_brute,
     guidance_brute,
     guided_selection_brute,
@@ -39,18 +40,23 @@ from themerank.textproc import Sentence
 
 @dataclass(frozen=True)
 class WeightsGraph:
-    """A graph given by its weights, every row in one new block: what the
-    centralities read of a ``SentenceGraph``."""
+    """A graph given by its weights, handed out as a new matrix on each read
+    and with every row in one new block: what the centralities read of a
+    ``SentenceGraph``."""
 
-    weights: sparse.csr_matrix
+    matrix: sparse.csr_matrix
     threshold: float
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.matrix.shape[0]
+
+    @property
+    def weights(self) -> sparse.csr_matrix:
+        return self.matrix.copy()
 
     def blocks(self):
-        yield 0, self.weights.copy()
+        yield 0, self.matrix.copy()
 
 
 def graph_from_dense(weights, threshold=0.1) -> WeightsGraph:
@@ -158,6 +164,25 @@ class TestGraphMatchesRebuild:
         assert continuous_centrality(graph).tobytes() == continuous_centrality(rebuilt).tobytes()
 
 
+class TestContinuousInPlace:
+    """Continuous γ from one graph read, sorted and scaled in place, equals
+    the three-copy transpose-and-product form bit for bit, with the graph
+    stacked from blocks of three rows so that rows cross block bounds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sentence_token_lists, st.sampled_from([0.5, 0.85]))
+    @example([["a"]], 0.85)  # n = 1
+    @example([[], ["a", "b"], [], ["b", "c"], ["a"], []], 0.85)  # zero rows
+    def test_gamma_bitwise(self, token_lists, damping):
+        assume(any(token_lists))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexrank, "ROW_BLOCK", 3)
+            graph = similarity_matrix(token_lists)
+            gamma = continuous_centrality(graph, damping=damping)
+            expected = continuous_centrality_transposed(graph, damping=damping)
+        assert gamma.tobytes() == expected.tobytes()
+
+
 class TestGraphInBlocks:
     """γ from an analysis, its graph made three rows at a time so that most
     draws span several blocks, equals the centrality of the full rebuilt
@@ -185,12 +210,12 @@ class TestGraphInBlocks:
         assume(any(token_lists))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexrank, "ROW_BLOCK", 3)
-            graph = similarity_matrix(token_lists)
+            weights = similarity_matrix(token_lists).weights
             gamma = SentenceAnalysis(
                 make_sentences([" ".join(tokens) for tokens in token_lists])
-            ).gamma(SummaryConfig(centrality_variant="continuous"))
+            ).gamma(SummaryConfig(centrality="continuous"))
         rebuilt = similarity_graph_rebuilt(token_lists)
-        assert_same_csr(graph.weights.sorted_indices(), rebuilt)
+        assert_same_csr(weights.sorted_indices(), rebuilt)
         assert gamma.tobytes() == continuous_centrality(WeightsGraph(rebuilt, 0.1)).tobytes()
 
     def test_degree_never_holds_the_full_graph(self):
@@ -400,7 +425,6 @@ class TestSummarize:
         sentences = make_sentences(["Um texto.", "Outro texto.", "Mais um texto."])
         summary = summarize(sentences, SummaryConfig(size=10))
         assert summary.indices == (0, 1, 2)
-        assert summary.text == "Um texto. Outro texto. Mais um texto."
 
     def test_plain_full_size_is_identity(self):
         sentences = make_sentences(["A b c.", "B c d.", "C d e.", "D e f."])
