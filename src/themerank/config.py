@@ -17,6 +17,7 @@ from .lexrank import SummaryConfig
 from .ranking import REPRESENTATIONS, SIMILARITY_METHODS, TFIDF_FALLBACK, PipelineConfig
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
+    TERMINALS,
     PreprocessConfig,
     RemovalRule,
     default_removal_rules,
@@ -213,15 +214,16 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
         patterns = tuple(patterns)
 
     abbreviations = section["abbreviations"]
+    if abbreviations is not None:
+        # segmentation compares each token lowercased, without its terminals
+        abbreviations = frozenset(entry.lower().rstrip(TERMINALS) for entry in abbreviations)
     return PreprocessConfig(
         remove_terms=bool(section["remove_terms"]),
         stopwords=stopwords,
         removal_patterns=patterns,
         core_start_markers=tuple(section["core_start_markers"] or ()),
         core_end_markers=tuple(section["core_end_markers"] or ()),
-        abbreviations=(
-            frozenset(abbreviations) if abbreviations is not None else DEFAULT_ABBREVIATIONS
-        ),
+        abbreviations=DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations,
     )
 
 

@@ -79,16 +79,12 @@ class RankedThemeList:
     appeal_id: str
     entries: tuple[tuple[str, float], ...]
 
-    def theme_ids(self) -> tuple[str, ...]:
-        return tuple(theme_id for theme_id, _ in self.entries)
-
 
 @dataclass(frozen=True)
 class PreparedThemes:
     """Per-run shared state: the themes' BM25 index, which holds their term
     counts, and the cosine side of the run's embedding file, if it has one."""
 
-    catalog: ThemeCatalog
     index: Bm25Index
     embeddings: EmbeddingCosine | None
 
@@ -122,7 +118,7 @@ def prepare_themes(catalog: ThemeCatalog, config: PipelineConfig) -> PreparedThe
     if embedding_file is not None:
         table = load_embeddings(embedding_file)
         embeddings = EmbeddingCosine(table, [theme.id for theme in catalog], embedding_file)
-    return PreparedThemes(catalog=catalog, index=index, embeddings=embeddings)
+    return PreparedThemes(index=index, embeddings=embeddings)
 
 
 class AppealAnalysis:

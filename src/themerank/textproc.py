@@ -22,14 +22,15 @@ from scipy import sparse
 
 TokenSequence = list[str]
 
-_TERMINALS = ".!?…"
-# a maximal run of terminals and the whitespace run after it (group 1);
-# re's \s is exactly str.isspace
-_TERMINAL_RUN_RE = re.compile(r"[.!?…]+(\s*)")
-_WORD_RE = re.compile(r"[^\W_]+")
-# the whitespace runs that collapsing to one space changes: two or more
-# characters, or one that is not a space; single spaces are left unmatched
-_SPACE_RUN_RE = re.compile(r"\s(?:\s+|(?<=[^\S ]))")
+# sentence-final punctuation; abbreviations are stored without it
+TERMINALS = ".!?…"
+# a candidate boundary: a maximal run of terminals, then the whole whitespace
+# run after it (group 1) and a character that is not whitespace; re's \s is
+# exactly str.isspace. Every later character of a run shares its suffix, so a
+# match never starts inside a run. Led by a bare class, not a repeat, so re
+# jumps from one terminal to the next
+_TERMINAL_RUN_RE = re.compile(r"[.!?…][.!?…]*(\s+)(?=\S)")
+_WORD_RE = re.compile(r"\w+")
 
 # Sentence-final abbreviations that must not end a sentence, stored without
 # their trailing period.
@@ -193,30 +194,23 @@ def segment_sentences(
     """
     if not text:
         raise ValueError("segment_sentences requires non-empty text")
-    boundaries = []
-    n = len(text)
+    sentences = []
+    start = 0
     for run in _TERMINAL_RUN_RE.finditer(text):
         j, k = run.span(1)
-        if k > j and k < n and (text[k].isupper() or text[k].isdigit()):
-            t = run.start()
+        if text[k].isupper() or text[k].isdigit():
+            # the run is maximal, so the token before it ends in no terminal
+            i = t = run.start()
             while t > 0 and not text[t - 1].isspace():
                 t -= 1
-            token = text[t:j].lower().rstrip(_TERMINALS)
-            if token not in abbreviations:
-                boundaries.append((j, k))
-
-    pieces = []
-    start = 0
-    for cut, resume in boundaries:
-        pieces.append(text[start:cut])
-        start = resume
-    pieces.append(text[start:])
-
-    sentences = []
-    for piece in pieces:
-        stripped = piece.strip()
-        if stripped:
-            sentences.append(Sentence(len(sentences), stripped))
+            if text[t:i].lower() not in abbreviations:
+                piece = text[start:j].strip()
+                if piece:
+                    sentences.append(Sentence(len(sentences), piece))
+                start = k
+    piece = text[start:].strip()
+    if piece:
+        sentences.append(Sentence(len(sentences), piece))
     return sentences
 
 
@@ -228,7 +222,9 @@ def tokenize(text: str) -> TokenSequence:
     if not text:
         return []
     normalized = unicodedata.normalize("NFC", text).lower()
-    return _WORD_RE.findall(normalized)
+    # for str patterns \w is [^\W_] plus "_": one C-level pass of \w+ over
+    # the text with its underscores made separators
+    return _WORD_RE.findall(normalized.replace("_", " "))
 
 
 def term_counts(
@@ -357,4 +353,5 @@ def remove_noise(text: str, config: PreprocessConfig) -> str:
     stopword_re = stopword_regex(config.stopwords)
     if stopword_re is not None:
         cleaned = stopword_re.sub(" ", cleaned)
-    return _SPACE_RUN_RE.sub(" ", cleaned).strip()
+    # str.split() splits at runs of str.isspace, which is re's \s
+    return " ".join(cleaned.split())

@@ -181,6 +181,12 @@ def segment_sentences_brute(text: str, abbreviations: frozenset[str]) -> list[st
     return [piece.strip() for piece in pieces if piece.strip()]
 
 
+def tokenize_brute(text: str) -> list[str]:
+    """Tokens: the runs of letters and digits of the NFC-normalised,
+    lowercased text; ``_`` and everything else separates."""
+    return re.findall(r"[^\W_]+", unicodedata.normalize("NFC", text).lower())
+
+
 # ---------------------------------------------------------------------------
 # sentence graph
 

@@ -21,7 +21,7 @@ from themerank.config import (
 )
 from themerank.lexrank import SummaryConfig
 from themerank.ranking import PipelineConfig
-from themerank.textproc import load_stopwords
+from themerank.textproc import load_stopwords, segment_sentences
 
 
 class TestLoadRunConfig:
@@ -104,6 +104,20 @@ class TestLoadRunConfig:
         assert preprocess.core_start_markers == ("RELATÓRIO",)
         assert preprocess.core_end_markers == ()
         assert preprocess.abbreviations == frozenset({"art"})
+
+    @pytest.mark.parametrize(
+        "entries", ["[art, fls]", "[Art., Fls.]", "[ART]", "['art!', 'ART…']", "null"]
+    )
+    def test_abbreviations_match_any_case_with_or_without_period(self, tmp_path, entries):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"preprocess:\n  abbreviations: {entries}\n", encoding="utf-8")
+        preprocess = build_preprocess(load_run_config(str(path)))
+        assert "art" in preprocess.abbreviations
+        text = "Conforme o Art. 5 da lei. Fim."
+        assert [s.text for s in segment_sentences(text, preprocess.abbreviations)] == [
+            "Conforme o Art. 5 da lei.",
+            "Fim.",
+        ]
 
     @pytest.mark.parametrize(
         "body, key",

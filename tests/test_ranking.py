@@ -62,12 +62,12 @@ class TestClassifyAppeal:
         for representation in ("fulltext", "lexrank", "guided_lexrank"):
             config = replace(PLAIN_CONFIG, representation=representation)
             ranked = classify_appeal(appeal, catalog, config)
-            assert ranked.theme_ids() == ("T1",)
+            assert tuple(t for t, _ in ranked.entries) == ("T1",)
 
     def test_all_zero_scores_ascending_theme_id(self):
         appeal = AppealRecord("A1", "Palavras totalmente desconhecidas xptoum xptodois.")
         ranked = classify_appeal(appeal, SEVEN_THEMES, PLAIN_CONFIG)
-        assert ranked.theme_ids() == ("T1", "T2", "T3", "T4", "T5", "T6", "T7")[:6]
+        assert tuple(t for t, _ in ranked.entries) == ("T1", "T2", "T3", "T4", "T5", "T6", "T7")[:6]
         assert all(score == 0.0 for _, score in ranked.entries)
 
     def test_scores_non_increasing_and_ids_in_catalog(self):
@@ -78,7 +78,7 @@ class TestClassifyAppeal:
         ranked = classify_appeal(appeal, SEVEN_THEMES, PLAIN_CONFIG)
         scores = [score for _, score in ranked.entries]
         assert scores == sorted(scores, reverse=True)
-        assert all(theme_id in SEVEN_THEMES for theme_id in ranked.theme_ids())
+        assert all(theme_id in SEVEN_THEMES for theme_id, _ in ranked.entries)
 
     def test_k_truncates(self):
         appeal = AppealRecord("A1", "Qualquer texto aqui serve.")
@@ -161,7 +161,7 @@ class TestCosinePath:
         config = replace(PLAIN_CONFIG, similarity_method="cosine", embedding_source=str(path))
         appeal = AppealRecord("A1", "tanto faz, os vetores decidem")
         ranked = classify_appeal(appeal, catalog, config)
-        assert ranked.theme_ids() == ("T1", "T2")
+        assert tuple(t for t, _ in ranked.entries) == ("T1", "T2")
 
     def test_missing_appeal_embedding(self, tmp_path):
         catalog = catalog_of(("T1", "um"))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from collections import Counter
 
@@ -13,6 +14,7 @@ from oracles import (
     remove_noise_brute,
     segment_sentences_brute,
     stopword_regex_brute,
+    tokenize_brute,
 )
 from themerank.textproc import (
     DEFAULT_ABBREVIATIONS,
@@ -44,6 +46,20 @@ class TestTokenize:
 
     def test_digits_kept(self):
         assert tokenize("processo 123 de 2020") == ["processo", "123", "de", "2020"]
+
+    @given(
+        st.lists(
+            st.text(max_size=8)
+            | st.sampled_from(["_", "__", "a_b", "٣", "𝟎", "\u0301", "e\u0301", "ΑΣ", "ΑΣ_", " "]),
+            max_size=12,
+        ).map("".join)
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_matches_alphanumeric_run_oracle(self, text):
+        assert tokenize(text) == tokenize_brute(text)
+
+    def test_underscore_separates(self):
+        assert tokenize("a_b __ ΑΣ_x") == ["a", "b", "ας", "x"]
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)
@@ -134,8 +150,9 @@ class TestSegmentSentences:
         assert parts == ["Primeira frase.", "Segunda frase."]
 
     def test_abbreviation_guard(self):
-        parts = [s.text for s in segment_sentences("Conforme art. 40 da lei. Outro ponto.")]
-        assert parts == ["Conforme art. 40 da lei.", "Outro ponto."]
+        for guarded in ["art.", "Art.", "art..", "fls.!", "nº…"]:
+            parts = [s.text for s in segment_sentences(f"Conforme {guarded} 40 da lei. Outro ponto.")]
+            assert parts == [f"Conforme {guarded} 40 da lei.", "Outro ponto."], guarded
 
     def test_no_terminal_punctuation(self):
         text = "texto sem pontuação final"
@@ -301,6 +318,13 @@ class TestLinearKernelsMatchOracles:
         expected = re.sub(r"\s+", " ", expected).strip()
         assert remove_noise(text, config) == expected
 
+    def test_every_whitespace_character_collapses(self):
+        config = PreprocessConfig(stopwords=frozenset(), removal_patterns=())
+        for space in map(chr, range(sys.maxunicode + 1)):
+            if space.isspace():
+                text = f"{space}a{space} {space}b{space * 3}c {space}"
+                assert remove_noise(text, config) == "a b c", hex(ord(space))
+
     def test_case_variant_on_another_branch_keeps_longest_word(self):
         # "ſ.x" matches "s.x" under IGNORECASE; an ſ branch apart from the s
         # branch would stop at "s"
@@ -324,7 +348,8 @@ class TestLinearKernelsMatchOracles:
     @given(
         st.lists(
             st.sampled_from(
-                [".", "!", "?", "…", "..", " ", "\u00a0", "\u2028", "\n", "art", "fls", "Dr",
+                [".", "!", "?", "…", "..", " ", "\u00a0", "\u2028", "\n", "\x1f", "\x85", "\u3000",
+                 "art", "fls", "Dr",
                  "nº", "§", "prazo", "Éxito", "ǅemal", "É", "40", "x"]
             ),
             min_size=1,
@@ -351,7 +376,8 @@ NOISE_PIECES = st.sampled_from(
         "Rua", "Avenida", "Av", "Av.", "A", "v.", "Travessa", "Alameda", "Praça", "Rodovia",
         "rua", "Ruas", "Praca", "!", "…",
         "de", "a", "na", "De", "o",
-        " ", "  ", "\u00a0", "\t", "\n", "\u2028",
+        " ", "  ", "\u00a0", "\t", "\n", "\u2028", "\x0b", "\x0c", "\r", "\x1c", "\x1d",
+        "\x1e", "\x1f", "\x85", "\u3000",
         "0001234-56.2020.4.02.5101", "123.456.789-01", "12.345.678/0001-90",
         "١٢٣.٤٥٦.٧٨٩-٠١",
     ]
