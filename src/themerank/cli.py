@@ -289,13 +289,12 @@ def _csv_text(rows) -> str:
 def cmd_grid(args) -> int:
     merged = _merged_config(args)
     base = build_pipeline(merged)
-    grid = build_grid(merged)
+    cells = list(build_grid(merged).cells())
+    configs = [cell_config(base, cell) for cell in cells]  # a bad cell value fails here
     outdir = _outdir(args)
     catalog = _load_themes(args, merged)
     appeals = _load_appeals(args, merged)
 
-    cells = list(grid.cells())
-    configs = [cell_config(base, cell) for cell in cells]
     print(f"grid: {len(cells)} cells over {len(appeals)} appeals", file=sys.stderr)
     outcomes = classify_grid(appeals, catalog, configs, args.parallel)
     gold = corpusmod.gold_labels(appeals, catalog)
@@ -304,16 +303,8 @@ def cmd_grid(args) -> int:
         report, failures, seconds = _run_cell(cell, outcome, gold, base.k, outdir)
         metrics = [""] * 7  # a failed cell keeps its row with empty metric fields
         if report is not None:
-            metrics = [
-                report.recall_at_k,
-                report.precision_at_k,
-                report.map_at_k,
-                report.f1,
-                report.ndcg_at_k,
-                report.query_count,
-                report.skipped,
-            ]
-            scatter.append([cell.descriptor, report.recall_at_k, report.map_at_k, report.ndcg_at_k])
+            metrics = [getattr(report, name) for name in GRID_SUMMARY_HEADER[5:12]]
+            scatter.append([cell.descriptor, *(getattr(report, name) for name in SCATTER_HEADER[1:])])
         summary.append([cell.descriptor, *cell.fields(), *metrics, failures, f"{seconds:.3f}"])
 
     summary_text = _csv_text(summary)

@@ -14,12 +14,12 @@ import yaml
 
 from .bm25 import Bm25Params
 from .lexrank import SummaryConfig
-from .ranking import REPRESENTATIONS, SIMILARITY_METHODS, TFIDF_FALLBACK, PipelineConfig
+from .ranking import PipelineConfig
 from .textproc import (
     DEFAULT_ABBREVIATIONS,
-    TERMINALS,
     PreprocessConfig,
     RemovalRule,
+    abbreviation_key,
     default_removal_rules,
     default_stopwords,
     load_stopwords,
@@ -215,8 +215,7 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
 
     abbreviations = section["abbreviations"]
     if abbreviations is not None:
-        # segmentation compares each token lowercased, without its terminals
-        abbreviations = frozenset(entry.lower().rstrip(TERMINALS) for entry in abbreviations)
+        abbreviations = frozenset(map(abbreviation_key, abbreviations))
     return PreprocessConfig(
         remove_terms=bool(section["remove_terms"]),
         stopwords=stopwords,
@@ -225,11 +224,6 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
         core_end_markers=tuple(section["core_end_markers"] or ()),
         abbreviations=DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations,
     )
-
-
-def _embedding_source(similarity: str, embeddings: str | None) -> str | None:
-    """Cosine scoring without an embedding file uses the built-in tf-idf vectors."""
-    return TFIDF_FALLBACK if similarity == "cosine" and embeddings is None else embeddings
 
 
 def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
@@ -242,7 +236,7 @@ def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
             similarity_method=config["similarity"],
             bm25=Bm25Params(**config["bm25"]),
             k=int(config["k"]),
-            embedding_source=_embedding_source(config["similarity"], config["embeddings"]),
+            embedding_source=config["embeddings"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -296,24 +290,14 @@ class ExperimentGrid:
     similarity_methods: tuple[str, ...]
 
     def __post_init__(self):
-        axes = ("preprocess_options", "representations", "summary_sizes", "similarity_methods")
-        for name in axes:
-            if not getattr(self, name):
-                raise ConfigError(f"grid axis {name!r} must be non-empty")
-        for rep in self.representations:
-            if rep not in REPRESENTATIONS:
-                raise ConfigError(f"unknown representation {rep!r} in grid")
-        for method in self.similarity_methods:
-            if method not in SIMILARITY_METHODS:
-                raise ConfigError(f"unknown similarity method {method!r} in grid")
-        for size in self.summary_sizes:
-            if size < 1:
-                raise ConfigError(f"summary sizes must be positive, got {size}")
-        # distinct axis values are exactly what makes every cell, and so every
-        # output file name, unique; checked before any cell runs
-        for name in axes:
+        for name in ("preprocess_options", "representations", "summary_sizes", "similarity_methods"):
             values = getattr(self, name)
-            if len(set(values)) != len(values):
+            if not values:
+                raise ConfigError(f"grid axis {name!r} must be non-empty")
+            # distinct axis values are exactly what makes every cell, and so
+            # every output file name, unique; compared, not hashed: a value
+            # that cell_config rejects may be a list or a mapping
+            if any(value in values[:i] for i, value in enumerate(values)):
                 raise ConfigError(f"grid axis {name!r} repeats a value: {list(values)}")
 
     def cells(self) -> Iterator[GridCell]:
@@ -330,12 +314,14 @@ def build_grid(config: dict[str, Any]) -> ExperimentGrid:
     section = config["grid"]
     options = []
     for value in section["preprocess"]:
-        if value not in _PREPROCESS_NAMES:
+        if not isinstance(value, (str, bool)) or value not in _PREPROCESS_NAMES:
             raise ConfigError(f"grid preprocess values must be 'remove' or 'keep', got {value!r}")
         options.append(_PREPROCESS_NAMES[value])
     for size in section["summary_sizes"]:
         if not isinstance(size, int) or isinstance(size, bool):
             raise ConfigError(f"'grid.summary_sizes' must hold integers, got {size!r}")
+        if size < 1:
+            raise ConfigError(f"'grid.summary_sizes' must hold sizes >= 1, got {size}")
     return ExperimentGrid(
         preprocess_options=tuple(options),
         representations=tuple(section["representations"]),
@@ -355,5 +341,4 @@ def cell_config(base: PipelineConfig, cell: GridCell) -> PipelineConfig:
         representation=cell.representation,
         summary=summary,
         similarity_method=cell.similarity_method,
-        embedding_source=_embedding_source(cell.similarity_method, base.embedding_source),
     )

@@ -158,7 +158,7 @@ def load_themes(
     return ThemeCatalog(ThemeRecord(theme_id, text) for theme_id, text, _ in rows)
 
 
-def _write_records(path: str | Path, delimiter: str, rows: Iterable[list[str]]) -> None:
+def write_records(path: str | Path, delimiter: str, rows: Iterable[list[str]]) -> None:
     """Write the header and data rows in the format _read_records accepts."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         minimal = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
@@ -180,7 +180,7 @@ def write_appeals(
 ) -> None:
     """Write appeals back to the delimited format accepted by load_appeals."""
     rows = ([a.id, a.raw_text, a.label_theme_id or ""] for a in appeals)
-    _write_records(path, delimiter, [[id_col, text_col, theme_col], *rows])
+    write_records(path, delimiter, [[id_col, text_col, theme_col], *rows])
 
 
 def write_themes(
@@ -193,7 +193,7 @@ def write_themes(
 ) -> None:
     """Write a theme catalog back to the delimited format accepted by load_themes."""
     rows = ([t.id, t.text] for t in themes)
-    _write_records(path, delimiter, [[id_col, text_col], *rows])
+    write_records(path, delimiter, [[id_col, text_col], *rows])
 
 
 def gold_labels(appeals: Iterable[AppealRecord], catalog: ThemeCatalog) -> dict[str, str]:

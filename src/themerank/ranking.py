@@ -12,7 +12,6 @@ appeal once per preprocess setting and derives every config from it.
 
 from __future__ import annotations
 
-import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .bm25 import Bm25Index, Bm25Params, build_index
-from .corpus import AppealRecord, ThemeCatalog
+from .corpus import AppealRecord, ThemeCatalog, write_records
 from .lexrank import SentenceAnalysis, SummaryConfig, select, select_top
 from .lexrank import summarize  # noqa: F401  perfbench/spans.py wraps it at this binding
 from .similarity import EmbeddingCosine, TfidfCosine, load_embeddings, score_by_bm25
@@ -63,11 +62,6 @@ class PipelineConfig:
             )
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.similarity_method == "cosine" and self.embedding_source is None:
-            raise ValueError(
-                "cosine similarity requires an embedding_source "
-                f"(a file path or {TFIDF_FALLBACK!r})"
-            )
         if self.representation == "guided_lexrank" and self.summary.alpha + self.summary.beta <= 0:
             raise ValueError("guided_lexrank requires alpha + beta > 0")
 
@@ -102,7 +96,8 @@ class PreparedThemes:
 
 
 def _embedding_file(config: PipelineConfig) -> str | None:
-    """The embedding file a config's theme side loads, if any."""
+    """The embedding file a config's theme side loads, if any: cosine with an
+    ``embedding_source`` of None or ``"tfidf"`` scores by TF-IDF vectors."""
     if config.similarity_method == "cosine" and config.embedding_source != TFIDF_FALLBACK:
         return config.embedding_source
     return None
@@ -137,42 +132,34 @@ class AppealAnalysis:
         return SentenceAnalysis(segment_sentences(self.cleaned, self.abbreviations))
 
 
-def _summary_rows(
-    analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
-) -> tuple[int, ...]:
-    """The sentences a summary representation keeps."""
-    theme_index = prepared.index if config.representation == "guided_lexrank" else None
-    return select(analysis.sentences, config.summary, theme_index).indices
-
-
-def _representation_tokens(
-    analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
-) -> list[str]:
-    if config.representation == "fulltext":
-        return tokenize(analysis.cleaned)
-    rows = _summary_rows(analysis, config, prepared)
-    # tokenize splits at spaces, so these are the tokens of the sentences joined
-    return [token for i in rows for token in analysis.sentences.tokens[i]]
-
-
-def _cosine_scores(
-    appeal: AppealRecord,
-    rep_tokens: list[str],
-    config: PipelineConfig,
-    prepared: PreparedThemes,
+def _scores(
+    appeal: AppealRecord, analysis: AppealAnalysis, config: PipelineConfig, prepared: PreparedThemes
 ) -> np.ndarray:
-    """Cosine of the appeal against every theme, in catalog order."""
-    if config.embedding_source == TFIDF_FALLBACK:
-        if not rep_tokens:
-            raise PipelineError("no tokens left for vectorization")
-        return prepared.tfidf.scores(rep_tokens)
-    query = prepared.embeddings.table.vectors.get(appeal.id)
-    if query is None:
-        raise PipelineError(f"no embedding in {config.embedding_source}")
-    try:
-        return prepared.embeddings.scores(query)
-    except ValueError as exc:
-        raise PipelineError(str(exc)) from exc
+    """The appeal's score against every theme, in catalog order. An embedding
+    file holds the appeal's vector, so that cell builds no representation."""
+    embedding_file = _embedding_file(config)
+    if embedding_file is not None:
+        query = prepared.embeddings.table.vectors.get(appeal.id)
+        if query is None:
+            raise PipelineError(f"no embedding in {embedding_file}")
+        try:
+            return prepared.embeddings.scores(query)
+        except ValueError as exc:
+            raise PipelineError(str(exc)) from exc
+    if config.representation == "fulltext":
+        tokens = tokenize(analysis.cleaned)
+        if config.similarity_method == "bm25":
+            return score_by_bm25(tokens, prepared.index)
+    else:
+        theme_index = prepared.index if config.representation == "guided_lexrank" else None
+        rows = select(analysis.sentences, config.summary, theme_index).indices
+        if config.similarity_method == "bm25":
+            return analysis.sentences.bm25_scores(prepared.index, rows)
+        # tokenize splits at spaces, so these are the tokens of the sentences joined
+        tokens = [token for i in rows for token in analysis.sentences.tokens[i]]
+    if not tokens:
+        raise PipelineError("no tokens left for vectorization")
+    return prepared.tfidf.scores(tokens)
 
 
 def classify_appeal(
@@ -196,14 +183,7 @@ def classify_appeal(
     if analysis is None:
         memo.clear()
         analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
-    if config.similarity_method == "bm25" and config.representation != "fulltext":
-        rows = _summary_rows(analysis, config, prepared)
-        scores = analysis.sentences.bm25_scores(prepared.index, rows)
-    elif config.similarity_method == "bm25":
-        scores = score_by_bm25(tokenize(analysis.cleaned), prepared.index)
-    else:
-        rep_tokens = _representation_tokens(analysis, config, prepared)
-        scores = _cosine_scores(appeal, rep_tokens, config, prepared)
+    scores = _scores(appeal, analysis, config, prepared)
     top = prepared.by_id[select_top(scores[prepared.by_id], config.k)]
     entries = tuple((prepared.index.doc_ids[i], float(scores[i])) for i in top)
     return RankedThemeList(appeal_id=appeal.id, entries=entries)
@@ -324,14 +304,13 @@ def write_rankings(
 ) -> None:
     """Write one delimited row per suggestion: rank, score, gold id, hit flag."""
     gold = gold or {}
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RANKINGS_HEADER)
+
+    def rows():
+        yield list(RANKINGS_HEADER)
         for ranking in rankings:
             label = gold.get(ranking.appeal_id, "")
             for position, (theme_id, score) in enumerate(ranking.entries, start=1):
-                hit = 1 if label and theme_id == label else 0
-                writer.writerow(
-                    [ranking.appeal_id, position, theme_id, repr(score), label, hit]
-                )
+                hit = "1" if label and theme_id == label else "0"
+                yield [ranking.appeal_id, str(position), theme_id, repr(score), label, hit]
 
+    write_records(path, ",", rows())

@@ -182,6 +182,12 @@ def extract_core(raw_text: str, config: PreprocessConfig | None = None) -> str:
     return core if core.strip() else raw_text
 
 
+def abbreviation_key(entry: str) -> str:
+    """The form an abbreviation is guarded in and a token is looked up by:
+    NFC, lowercase, without trailing terminals."""
+    return unicodedata.normalize("NFC", entry).lower().rstrip(TERMINALS)
+
+
 def segment_sentences(
     text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
 ) -> list[Sentence]:
@@ -203,7 +209,7 @@ def segment_sentences(
             i = t = run.start()
             while t > 0 and not text[t - 1].isspace():
                 t -= 1
-            if text[t:i].lower() not in abbreviations:
+            if abbreviation_key(text[t:i]) not in abbreviations:
                 piece = text[start:j].strip()
                 if piece:
                     sentences.append(Sentence(len(sentences), piece))

@@ -169,7 +169,8 @@ def segment_sentences_brute(text: str, abbreviations: frozenset[str]) -> list[st
             t = i
             while t > 0 and not text[t - 1].isspace():
                 t -= 1
-            if text[t:j].lower().rstrip(terminals) not in abbreviations:
+            token = unicodedata.normalize("NFC", text[t:j]).lower().rstrip(terminals)
+            if token not in abbreviations:
                 boundaries.append((j, k))
         i = j
     pieces = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import multiprocessing
@@ -11,7 +12,7 @@ import pytest
 
 from themerank import lexrank, ranking
 from themerank.cli import build_parser, main
-from themerank.config import OVERRIDE_PATHS
+from themerank.config import DEFAULT_CONFIG, OVERRIDE_PATHS
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -251,6 +252,55 @@ class TestOverrideFlags:
     )
     def test_every_override_is_a_flag(self, argv):
         assert set(OVERRIDE_PATHS) <= set(vars(build_parser().parse_args(argv)))
+
+
+def _key_paths(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+class TestKnobInventory:
+    """Every run-config key and every flag, pinned: a change that adds,
+    drops or renames a knob has to say so here."""
+
+    def test_run_config_key_paths(self):
+        assert sorted(_key_paths(DEFAULT_CONFIG)) == [
+            "appeal_columns.id", "appeal_columns.text", "appeal_columns.theme",
+            "bm25.b", "bm25.epsilon", "bm25.idf_variant", "bm25.k1",
+            "delimiter", "embeddings",
+            "grid.preprocess", "grid.representations", "grid.similarity_methods",
+            "grid.summary_sizes",
+            "k",
+            "preprocess.abbreviations", "preprocess.core_end_markers",
+            "preprocess.core_start_markers", "preprocess.removal_patterns",
+            "preprocess.remove_terms", "preprocess.stopwords",
+            "representation", "similarity",
+            "summary.alpha", "summary.beta", "summary.centrality", "summary.damping",
+            "summary.max_iterations", "summary.size", "summary.threshold", "summary.tolerance",
+            "theme_columns.id", "theme_columns.text",
+        ]
+
+    def test_subcommand_flags(self):
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {
+            name: sorted(flag for action in sub._actions for flag in action.option_strings)
+            for name, sub in commands.choices.items()
+        }
+        common = [
+            "--alpha", "--appeals", "--beta", "--config", "--embeddings", "--help", "--k",
+            "--out", "--parallel", "--remove-terms", "--representation", "--similarity",
+            "--summary-size", "--themes", "-h",
+        ]
+        assert flags == {
+            "classify": sorted([*common, "--appeal-id", "--text"]),
+            "evaluate": common,
+            "grid": common,
+            "stats": ["--delimiter", "--help", "--id-col", "--input", "--text-col", "-h"],
+        }
 
 
 class TestGrid:
@@ -565,6 +615,30 @@ class TestGrid:
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "summary_sizes" in err
+        assert len(err.splitlines()) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            ("grid:\n  representations: [lexrank, magic]\n", "representation must be one of"),
+            ("grid:\n  representations: [{a: 1}]\n", "representation must be one of"),
+            ("grid:\n  similarity_methods: [bm25, jaccard]\n", "similarity_method must be one of"),
+            ("grid:\n  summary_sizes: [5, 0]\n", "'grid.summary_sizes' must hold sizes >= 1"),
+            ("grid:\n  preprocess: [{a: 1}]\n", "grid preprocess values must be"),
+        ],
+        ids=["representation", "mapping-representation", "similarity", "size", "mapping-preprocess"],
+    )
+    def test_bad_cell_value_fails_before_corpus_is_read(self, capsys, tmp_path, body, named):
+        config = self.grid_config(tmp_path, body)
+        outdir = tmp_path / "grid_out"
+        absent = str(tmp_path / "absent.csv")
+        code, out, err = run_cli(
+            capsys, "grid", "--appeals", absent, "--themes", absent,
+            "--config", str(config), "--out", str(outdir),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and named in err
         assert len(err.splitlines()) == 1
         assert not outdir.exists()
 

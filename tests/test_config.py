@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from themerank import ranking
 from themerank.config import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -19,6 +20,7 @@ from themerank.config import (
     cell_config,
     load_run_config,
 )
+from themerank.corpus import AppealRecord
 from themerank.lexrank import SummaryConfig
 from themerank.ranking import PipelineConfig
 from themerank.textproc import load_stopwords, segment_sentences
@@ -118,6 +120,22 @@ class TestLoadRunConfig:
             "Conforme o Art. 5 da lei.",
             "Fim.",
         ]
+
+    @pytest.mark.parametrize(
+        "entry, text, remove_terms",
+        [
+            # a decomposed entry; noise removal leaves the text in NFC
+            ("pa\u0301g.", "Ver p\xe1g. 3 do anexo. Fim.", True),
+            # a precomposed entry; without removal the text stays in NFD
+            ("p\xe1g.", "Ver pa\u0301g. 3 do anexo. Fim.", False),
+        ],
+    )
+    def test_abbreviations_guard_in_any_normal_form(self, entry, text, remove_terms):
+        config = load_run_config(None)
+        config["preprocess"].update(abbreviations=[entry], remove_terms=remove_terms)
+        analysis = ranking.AppealAnalysis(AppealRecord("A1", text), build_preprocess(config))
+        sentences = [s.text for s in analysis.sentences.sentences]
+        assert len(sentences) == 2 and sentences[-1] == "Fim."
 
     @pytest.mark.parametrize(
         "body, key",
@@ -221,7 +239,9 @@ class TestBuildPipeline:
         config = load_run_config(None)
         config["similarity"] = "cosine"
         pipeline = build_pipeline(config)
-        assert pipeline.embedding_source == "tfidf"
+        # no embedding file: ranking scores this cell by TF-IDF vectors
+        assert pipeline.embedding_source is None
+        assert ranking._embedding_file(pipeline) is None
 
     def test_invalid_values_become_config_errors(self):
         config = load_run_config(None)
@@ -293,8 +313,9 @@ class TestGrid:
             ExperimentGrid((), ("lexrank",), (5,), ("bm25",))
 
     def test_unknown_representation_rejected(self):
-        with pytest.raises(ConfigError, match="representation"):
-            ExperimentGrid((True,), ("magic",), (5,), ("bm25",))
+        base = build_pipeline(load_run_config(None))
+        with pytest.raises(ValueError, match="representation must be one of"):
+            cell_config(base, GridCell(True, "magic", 5, "bm25"))
 
     @pytest.mark.parametrize(
         "axes",
@@ -342,7 +363,7 @@ class TestGrid:
         assert specialized.representation == "lexrank"
         assert specialized.summary.size == 7
         assert specialized.similarity_method == "cosine"
-        assert specialized.embedding_source == "tfidf"
+        assert specialized.embedding_source is None  # TF-IDF cosine
         assert specialized.summary == replace(base.summary, size=7)
 
     def test_cell_config_fulltext_keeps_base_size(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -142,9 +143,14 @@ class TestCosinePath:
         assert ranked.entries[0][0] == "T1"
         assert all(-1.0 <= score <= 1.0 for _, score in ranked.entries)
 
-    def test_cosine_requires_embedding_source(self):
-        with pytest.raises(ValueError, match="embedding_source"):
-            PipelineConfig(similarity_method="cosine")
+    def test_no_embedding_source_scores_by_tfidf(self):
+        appeal = AppealRecord("A1", "Discute-se a prescrição intercorrente na execução fiscal.")
+        config = replace(PLAIN_CONFIG, similarity_method="cosine")
+        assert config.embedding_source is None
+        tfidf = replace(config, embedding_source="tfidf")
+        assert classify_appeal(appeal, SEVEN_THEMES, config) == classify_appeal(
+            appeal, SEVEN_THEMES, tfidf
+        )
 
     def test_embedding_file_path(self, tmp_path):
         catalog = catalog_of(("T1", "um"), ("T2", "dois"))
@@ -162,6 +168,30 @@ class TestCosinePath:
         appeal = AppealRecord("A1", "tanto faz, os vetores decidem")
         ranked = classify_appeal(appeal, catalog, config)
         assert tuple(t for t, _ in ranked.entries) == ("T1", "T2")
+
+    def test_embedding_file_cell_builds_no_summary(self, tmp_path, monkeypatch):
+        catalog = catalog_of(("T1", "um"), ("T2", "dois"))
+        table = EmbeddingTable(
+            dimension=2,
+            vectors={"A1": np.array([0.0, 1.0]), "T1": np.array([1.0, 0.0]), "T2": np.array([0.1, 0.9])},
+        )
+        path = tmp_path / "emb.tsv"
+        write_embeddings(path, table)
+
+        def no_summary(*args, **kwargs):
+            raise AssertionError("an embedding-file cell selected a summary")
+
+        monkeypatch.setattr(ranking, "select", no_summary)
+        appeal = AppealRecord("A1", "Primeira frase do recurso. Segunda frase do recurso.")
+        for representation in REPRESENTATIONS:
+            config = replace(
+                PLAIN_CONFIG,
+                representation=representation,
+                similarity_method="cosine",
+                embedding_source=str(path),
+            )
+            ranked = classify_appeal(appeal, catalog, config)
+            assert tuple(t for t, _ in ranked.entries) == ("T2", "T1")
 
     def test_missing_appeal_embedding(self, tmp_path):
         catalog = catalog_of(("T1", "um"))
@@ -316,8 +346,8 @@ _SUMMARY_CHARS = st.sampled_from("ΣΑσ\u0301\u0307İ\u00a0 .'abcDE1é") | st.c
 
 
 class TestSummaryTokens:
-    """A summary's tokens are its sentences' stored tokens, which equal the
-    tokens of those sentences joined by spaces."""
+    """A summary's TF-IDF cosine comes from its sentences' stored tokens,
+    which equal the tokens of those sentences joined by spaces."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -326,15 +356,24 @@ class TestSummaryTokens:
         st.integers(1, 8),
     )
     def test_equal_tokens_of_summary_text(self, pieces, representation, size):
-        text = ". ".join(pieces) + " prescrição"  # at least one token
-        analysis = ranking.AppealAnalysis(AppealRecord("A1", text), PreprocessConfig(remove_terms=False))
-        config = replace(PLAIN_CONFIG, representation=representation, summary=SummaryConfig(size=size))
+        appeal = AppealRecord("A1", ". ".join(pieces) + " prescrição")  # at least one token
+        analysis = ranking.AppealAnalysis(appeal, PreprocessConfig(remove_terms=False))
+        config = replace(
+            PLAIN_CONFIG,
+            representation=representation,
+            summary=SummaryConfig(size=size),
+            similarity_method="cosine",
+        )
         prepared = prepare_themes(SEVEN_THEMES, config)
-        tokens = ranking._representation_tokens(analysis, config, prepared)
         theme_index = prepared.index if representation == "guided_lexrank" else None
         summary = select(analysis.sentences, config.summary, theme_index)
-        text = " ".join(analysis.sentences.sentences[i].text for i in summary.indices)
-        assert tokens == tokenize(text)
+        tokens = tokenize(" ".join(analysis.sentences.sentences[i].text for i in summary.indices))
+        if not tokens:
+            with pytest.raises(PipelineError, match="no tokens"):
+                ranking._scores(appeal, analysis, config, prepared)
+            return
+        scores = ranking._scores(appeal, analysis, config, prepared)
+        assert scores.tobytes() == prepared.tfidf.scores(tokens).tobytes()
 
 
 class TestClassifyGrid:
@@ -388,3 +427,17 @@ class TestRankingsFile:
         write_rankings(path, results, gold=None)
         row = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[4] == "" and row[5] == "0"
+
+    def test_carriage_return_in_ids_round_trips(self, tmp_path):
+        # csv quotes only the line terminator's characters, and a lone "\r"
+        # would end the row on reading
+        results = [RankedThemeList("A\r1", (("T\r1", 0.5), ("T2", 0.25)))]
+        path = tmp_path / "rankings.csv"
+        write_rankings(path, results, {"A\r1": "T\r1"})
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1:] == [
+            ["A\r1", "1", "T\r1", "0.5", "T\r1", "1"],
+            ["A\r1", "2", "T2", "0.25", "T\r1", "0"],
+        ]
+        assert read_rankings(path) == results

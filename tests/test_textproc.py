@@ -350,12 +350,14 @@ class TestLinearKernelsMatchOracles:
             st.sampled_from(
                 [".", "!", "?", "…", "..", " ", "\u00a0", "\u2028", "\n", "\x1f", "\x85", "\u3000",
                  "art", "fls", "Dr",
-                 "nº", "§", "prazo", "Éxito", "ǅemal", "É", "40", "x"]
+                 "nº", "§", "prazo", "Éxito", "ǅemal", "É", "40", "x", "p\xe1g", "pa\u0301g"]
             ),
             min_size=1,
             max_size=30,
         ).map("".join),
-        st.sampled_from([DEFAULT_ABBREVIATIONS, frozenset(), frozenset({"x", "prazo", "art"})]),
+        st.sampled_from(
+            [DEFAULT_ABBREVIATIONS, frozenset(), frozenset({"x", "prazo", "art", "p\xe1g"})]
+        ),
     )
     @settings(max_examples=600, deadline=None)
     def test_segmentation_matches_character_loop(self, text, abbreviations):
