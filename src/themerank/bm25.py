@@ -29,9 +29,9 @@ IDF_VARIANTS = ("nonnegative", "epsilon_floor")
 class Bm25Params:
     """Tunable scoring parameters.
 
-    ``k1 >= 0`` controls term-frequency saturation, ``b`` in [0, 1] controls
-    document-length normalization, ``epsilon > 0`` only matters under the
-    ``epsilon_floor`` idf variant.
+    Finite ``k1 >= 0`` controls term-frequency saturation, ``b`` in [0, 1]
+    controls document-length normalization, finite ``epsilon > 0`` only
+    matters under the ``epsilon_floor`` idf variant.
     """
 
     k1: float = 1.5
@@ -40,14 +40,14 @@ class Bm25Params:
     epsilon: float = 0.25
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be >= 0, got {self.k1}")
+        if not 0 <= self.k1 < math.inf:
+            raise ValueError(f"k1 must be finite and >= 0, got {self.k1}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
         if self.idf_variant not in IDF_VARIANTS:
             raise ValueError(f"idf_variant must be one of {IDF_VARIANTS}, got {self.idf_variant!r}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 class Bm25Index:
@@ -75,10 +75,17 @@ class Bm25Index:
         self.idfs = _idf(counts.getnnz(axis=0), len(doc_ids), params)
 
         lengths = np.asarray(counts.sum(axis=1)).ravel()
-        norm = params.k1 * (1.0 - params.b + params.b * lengths / lengths.mean())
         tf = counts.data
         docs = np.repeat(np.arange(len(doc_ids)), np.diff(counts.indptr))
-        values = self.idfs[counts.indices] * tf * (params.k1 + 1.0) / (tf + norm[docs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = params.k1 * (1.0 - params.b + params.b * lengths / lengths.mean())
+            values = self.idfs[counts.indices] * tf * (params.k1 + 1.0) / (tf + norm[docs])
+            # weights are >= 0, so a document's total bounds every score it gets
+            totals = np.bincount(docs, weights=values, minlength=len(doc_ids))
+        if not np.isfinite(totals).all():
+            raise ValueError(
+                f"BM25 scores overflow under k1={params.k1} and epsilon={params.epsilon}"
+            )
         self.weights = sparse.csr_matrix(
             (values, counts.indices, counts.indptr), shape=counts.shape
         ).T.tocsr()

@@ -47,6 +47,12 @@ def _bool_flag(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
+def _worker_count(value: str) -> int:
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="run-configuration file (YAML or JSON)")
     parser.add_argument("--k", type=int, help=f"suggestion list length (default {PipelineConfig.k})")
@@ -71,7 +77,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
-        "--parallel", type=int, default=1, help="worker processes over appeals (default %(default)s)"
+        "--parallel",
+        type=_worker_count,
+        default=1,
+        help="worker processes over appeals (default %(default)s)",
     )
 
 
@@ -203,6 +212,8 @@ def _report(
     ``outdir``, ``rankings{suffix}.csv`` and ``metrics{suffix}.json`` are
     written there. Returns (report, metrics document).
     """
+    if not results and failures:
+        raise PipelineError(f"no appeal ranked ({len(failures)} failed; the first: {failures[0]})")
     report = evaluate_run(results, gold, k)
     document = asdict(report)
     document.update(failures=len(failures), preprocess_order=PREPROCESS_ORDER, **label)

@@ -88,8 +88,11 @@ class SummaryConfig:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not (self.alpha >= 0 and self.beta >= 0 and math.isfinite(self.alpha + self.beta)):
+            # finite alpha + beta bounds every blended score, which is at most that sum
+            raise ValueError(
+                f"alpha and beta must be >= 0 with a finite sum, got {self.alpha} and {self.beta}"
+            )
         if self.centrality not in CENTRALITY_VARIANTS:
             raise ValueError(
                 f"centrality must be one of {CENTRALITY_VARIANTS}, got {self.centrality!r}"
@@ -98,6 +101,10 @@ class SummaryConfig:
             raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
         if not 0.0 < self.damping < 1.0:
             raise ValueError(f"damping must be in (0, 1), got {self.damping}")
+        if not self.tolerance > 0:
+            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
     @property
     def graph_settings(self) -> tuple:

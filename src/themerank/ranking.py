@@ -146,17 +146,24 @@ def _scores(
             return prepared.embeddings.scores(query)
         except ValueError as exc:
             raise PipelineError(str(exc)) from exc
-    if config.representation == "fulltext":
+    # cached_property keeps a computed analysis in the instance dict: a fulltext
+    # cell segments no text that no summary cell has segmented yet
+    if config.representation == "fulltext" and "sentences" not in vars(analysis):
         tokens = tokenize(analysis.cleaned)
         if config.similarity_method == "bm25":
             return score_by_bm25(tokens, prepared.index)
     else:
-        theme_index = prepared.index if config.representation == "guided_lexrank" else None
-        rows = select(analysis.sentences, config.summary, theme_index).indices
+        sentences = analysis.sentences
+        if config.representation == "fulltext":
+            rows = range(len(sentences.sentences))
+        else:
+            theme_index = prepared.index if config.representation == "guided_lexrank" else None
+            rows = select(sentences, config.summary, theme_index).indices
         if config.similarity_method == "bm25":
-            return analysis.sentences.bm25_scores(prepared.index, rows)
-        # tokenize splits at spaces, so these are the tokens of the sentences joined
-        tokens = [token for i in rows for token in analysis.sentences.tokens[i]]
+            return sentences.bm25_scores(prepared.index, rows)
+        # segmentation cuts only at whitespace runs and tokenize splits there,
+        # so these are the tokens of the sentences' text joined
+        tokens = [token for i in rows for token in sentences.tokens[i]]
     if not tokens:
         raise PipelineError("no tokens left for vectorization")
     return prepared.tfidf.scores(tokens)

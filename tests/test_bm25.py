@@ -136,6 +136,24 @@ class TestIdfVariants:
         with pytest.raises(ValueError):
             Bm25Params(epsilon=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("knob", ["k1", "epsilon"])
+    def test_non_finite_params_rejected(self, knob, value):
+        with pytest.raises(ValueError, match=f"{knob} must be finite"):
+            Bm25Params(**{knob: value})
+
+    @pytest.mark.parametrize(
+        "params",
+        [Bm25Params(k1=1e308), Bm25Params(idf_variant="epsilon_floor", epsilon=1e308)],
+        ids=["k1", "epsilon"],
+    )
+    def test_scores_that_overflow_rejected(self, params):
+        # "b" is in two of three documents: its raw idf is negative and floored;
+        # five "a" times k1 + 1 = 1e308, or three floored "b", pass the largest float
+        docs = [("d1", ["a"] * 5 + ["b"]), ("d2", ["b"] * 3 + ["c"]), ("d3", ["c"])]
+        with pytest.raises(ValueError, match="BM25 scores overflow"):
+            build_index(docs, params)
+
 
 class TestRank:
     """The pipeline's own top-k over BM25 scores: catalog positions in

@@ -3,12 +3,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import multiprocessing
 import os
 import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from themerank import lexrank, ranking
 from themerank.cli import build_parser, main
@@ -178,6 +180,26 @@ class TestEvaluate:
         assert code == 1
         assert "gold" in err or "evaluable" in err
 
+    def test_no_appeal_ranked_names_the_failures(self, capsys, tmp_path, tiny_themes_file):
+        appeals = tmp_path / "appeals.csv"
+        appeals.write_text(
+            "id,text,theme\nA1,a de 1234567 na,T1\nA2,o da 7654321 no,T2\n", encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, *self.evaluate_args(appeals, tiny_themes_file))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: no appeal ranked (2 failed; the first: A1: text empty after preprocessing)"
+        ]
+
+    @pytest.mark.parametrize("command", ["classify", "evaluate", "grid"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_parallel_below_one_rejected(self, capsys, tiny_appeals_file, tiny_themes_file, command, value):
+        argv = [command, "--appeals", str(tiny_appeals_file), "--themes", str(tiny_themes_file)]
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--parallel", value])
+        assert exited.value.code == 2
+        assert f"--parallel: expected an integer >= 1, got '{value}'" in capsys.readouterr().err
+
     def test_reports_byte_identical_across_runs(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
     ):
@@ -301,6 +323,84 @@ class TestKnobInventory:
             "grid": common,
             "stats": ["--delimiter", "--help", "--id-col", "--input", "--text-col", "-h"],
         }
+
+
+# YAML spellings of nan, inf, -inf, 0, -1 and 1e308 (PyYAML reads "1e308" as a string)
+_GARBAGE = (".nan", ".inf", "-.inf", "0", "-1", "1.0e+308")
+
+
+def _numeric_key_paths() -> list[str]:
+    """The inventory's key paths whose default is a number (not a bool)."""
+
+    def default(path):
+        node = DEFAULT_CONFIG
+        for key in path.split("."):
+            node = node[key]
+        return node
+
+    return sorted(path for path in _key_paths(DEFAULT_CONFIG) if type(default(path)) in (int, float))
+
+
+class TestKnobContract:
+    """Every numeric knob of the inventory, set to a value that may give
+    garbage, either runs with finite scores or is one error line."""
+
+    THEMES = (
+        "id,text\n"
+        "T1,prescrição intercorrente recurso fiscal\n"
+        "T2,honorários recurso sucumbência recursal\n"
+        "T3,contribuição previdenciária servidor público\n"
+    )
+    APPEALS = (
+        "id,text,theme\n"
+        "A1,O recurso discute a prescrição intercorrente. Nada mais consta dos autos. "
+        "O recurso fiscal segue.,T1\n"
+        "A2,Trata-se de honorários em sucumbência recursal. O recurso é conhecido.,T2\n"
+        "A3,Discute-se contribuição previdenciária de servidor público. Outros pontos.,T3\n"
+    )
+
+    def test_every_numeric_path_is_covered(self):
+        assert _numeric_key_paths() == [
+            "bm25.b", "bm25.epsilon", "bm25.k1", "k",
+            "summary.alpha", "summary.beta", "summary.damping", "summary.max_iterations",
+            "summary.size", "summary.threshold", "summary.tolerance",
+        ]
+        assert [repr(yaml.safe_load(spelt)) for spelt in _GARBAGE] == [
+            "nan", "inf", "-inf", "0", "-1", "1e+308"
+        ]
+
+    @pytest.mark.parametrize(
+        "base",
+        ["{}", "{summary: {centrality: continuous}, bm25: {idf_variant: epsilon_floor}}"],
+        ids=["defaults", "continuous-epsilon-floor"],
+    )
+    @pytest.mark.parametrize("path", _numeric_key_paths())
+    def test_finite_scores_or_one_error_line(self, capsys, tmp_path, base, path):
+        appeals, themes = tmp_path / "appeals.csv", tmp_path / "themes.csv"
+        appeals.write_text(self.APPEALS, encoding="utf-8")
+        themes.write_text(self.THEMES, encoding="utf-8")
+        for spelt in _GARBAGE:
+            config = yaml.safe_load(base)
+            *parents, leaf = path.split(".")
+            node = config
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[leaf] = yaml.safe_load(spelt)
+            run_file = tmp_path / "run.yaml"
+            run_file.write_text(yaml.safe_dump(config), encoding="utf-8")
+            outdir = tmp_path / f"out{spelt}"
+            code, _, err = run_cli(
+                capsys, "evaluate", "--appeals", str(appeals), "--themes", str(themes),
+                "--config", str(run_file), "--out", str(outdir),
+            )
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            if code == 0:
+                with open(outdir / "rankings.csv", encoding="utf-8", newline="") as handle:
+                    scores = [float(row["score"]) for row in csv.DictReader(handle)]
+                assert scores and all(map(math.isfinite, scores)), (path, spelt)
+                assert errors == []
+            else:
+                assert code == 1 and len(errors) == 1, (path, spelt, err)
 
 
 class TestGrid:
@@ -482,6 +582,22 @@ class TestGrid:
         rows = list(csv.reader(open(outdir / "grid_summary.csv", encoding="utf-8")))
         assert len(rows) == 1 + 2  # failed cells keep their summary rows
         assert all(row[5] == "" for row in rows[1:])
+
+    def test_cell_where_no_appeal_ranked_names_the_failures(self, capsys, tmp_path, tiny_themes_file):
+        appeals = tmp_path / "appeals.csv"
+        appeals.write_text("id,text,theme\nA1,a de 1234567 na,T1\n", encoding="utf-8")
+        config = self.grid_config(tmp_path, "grid:\n  representations: [fulltext, lexrank]\n")
+        code, _, err = run_cli(
+            capsys, "grid", "--appeals", str(appeals), "--themes", str(tiny_themes_file),
+            "--config", str(config),
+        )
+        assert code == 0
+        failed = [line for line in err.splitlines() if "FAILED" in line]
+        assert len(failed) == 2
+        assert all(
+            line.endswith(": no appeal ranked (1 failed; the first: A1: text empty after preprocessing)")
+            for line in failed
+        )
 
     def test_per_cell_rankings_files_written(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
@@ -718,6 +834,55 @@ class TestGridFastPath:
             assert len(files) == 2 * 20  # two files for each of 20 cells
             outputs.append({f.name: f.read_bytes() for f in files + [outdir / "scatter.csv"]})
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "representations, texts_tokenized_per_appeal",
+        [
+            ("[guided_lexrank, lexrank, fulltext]", 0),  # the summaries' sentences serve fulltext
+            ("[fulltext, lexrank]", 2),  # fulltext runs first, as a plain evaluate does
+            ("[fulltext]", 2),
+        ],
+    )
+    def test_fulltext_after_a_summary_tokenizes_no_text(
+        self, capsys, monkeypatch, tiny_appeals_file, tiny_themes_file, tmp_path,
+        representations, texts_tokenized_per_appeal,
+    ):
+        tokenized = self.count_calls(monkeypatch, ranking, "tokenize")
+        code, _, _ = self.grid(
+            capsys, tiny_appeals_file, tiny_themes_file, tmp_path,
+            "grid:\n"
+            "  preprocess: [remove, keep]\n"
+            f"  representations: {representations}\n"
+            "  similarity_methods: [bm25, cosine]\n",
+            "--parallel", "1",
+        )
+        assert code == 0
+        # 3 themes, once for the run; then once per appeal and fulltext cell
+        assert len(tokenized) == 3 + texts_tokenized_per_appeal * 2 * 3
+
+    def test_fulltext_first_writes_the_paper_order_bytes(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        outputs = []
+        for representations, parallel in [
+            ("[guided_lexrank, lexrank, fulltext]", "1"),
+            ("[fulltext, guided_lexrank, lexrank]", "1"),
+            ("[fulltext, guided_lexrank, lexrank]", "2"),
+        ]:
+            code, _, outdir = self.grid(
+                capsys, tiny_appeals_file, tiny_themes_file, tmp_path,
+                "grid:\n"
+                "  preprocess: [remove, keep]\n"
+                f"  representations: {representations}\n"
+                "  summary_sizes: [1, 2]\n"
+                "  similarity_methods: [bm25, cosine]\n",
+                "--parallel", parallel,
+            )
+            assert code == 0
+            files = sorted(outdir.glob("rankings_*.csv")) + sorted(outdir.glob("metrics_*.json"))
+            assert len(files) == 2 * 20
+            outputs.append({f.name: f.read_bytes() for f in files})
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

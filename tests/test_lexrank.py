@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from dataclasses import dataclass
@@ -414,6 +415,30 @@ class TestCombinedScores:
     def test_zero_weights_rejected(self):
         with pytest.raises(ValueError):
             combined_scores(np.array([1.0]), np.array([1.0]), 0, 0)
+
+
+class TestSummaryConfig:
+    @pytest.mark.parametrize(
+        "knobs, named",
+        [
+            ({"alpha": math.nan}, "alpha and beta"),
+            ({"beta": math.inf}, "alpha and beta"),
+            ({"alpha": -math.inf}, "alpha and beta"),
+            ({"alpha": 1e308, "beta": 1e308}, "finite sum"),
+            ({"tolerance": -1.0}, "tolerance"),
+            ({"tolerance": 0.0}, "tolerance"),
+            ({"tolerance": math.nan}, "tolerance"),
+            ({"max_iterations": 0}, "max_iterations"),
+        ],
+    )
+    def test_garbage_knobs_rejected(self, knobs, named):
+        with pytest.raises(ValueError, match=named):
+            SummaryConfig(**knobs)
+
+    def test_largest_finite_blend_kept(self):
+        config = SummaryConfig(alpha=1e308, beta=1.0)
+        blended = combined_scores(np.array([1.0, 0.5]), np.array([0.0, 1.0]), config.alpha, config.beta)
+        assert np.isfinite(blended).all()
 
 
 def make_sentences(texts):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from synth import make_appeals, make_themes, read_rankings, write_embeddings
 from themerank import ranking
+from themerank.bm25 import Bm25Params
 from themerank.config import ExperimentGrid, cell_config
 from themerank.corpus import AppealRecord, ThemeCatalog, ThemeRecord, gold_labels, load_appeals, load_themes
 from themerank.ranking import (
@@ -374,6 +378,90 @@ class TestSummaryTokens:
             return
         scores = ranking._scores(appeal, analysis, config, prepared)
         assert scores.tobytes() == prepared.tfidf.scores(tokens).tobytes()
+
+
+# every str.isspace character (none lies above U+3000), sentence terminals,
+# "_", combining marks, a final-sigma context, Hangul jamo and characters
+# whose case mapping or NFC form changes their length or code point
+_WHITESPACE = "".join(ch for ch in map(chr, range(0x3001)) if ch.isspace())
+_REUSE_CHARS = _WHITESPACE + ".!?…_\u0301\u0307\u0327ΑΣ\u1100\u1161\u11a8İßſ\u212aﬁ\u2126aE1"
+_REUSE_WORDS = [word for theme in SEVEN_THEMES for word in theme.text.split()] + [
+    "Prescrição", "FISCAL", "Dano", "1234567", "de", "Art.",
+]
+_REUSE_TEXT = st.lists(
+    st.sampled_from(_REUSE_WORDS) | st.text(st.sampled_from(_REUSE_CHARS), min_size=1, max_size=4),
+    min_size=1,
+    max_size=40,
+).map("".join)
+
+
+class TestFulltextReuse:
+    """A fulltext cell whose analysis already holds its sentences scores from
+    them, without tokenizing again, to the bits of tokenizing the text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_REUSE_TEXT, st.booleans(), st.sampled_from(SIMILARITY_METHODS))
+    def test_scores_from_sentences_equal_tokenize_path(self, text, remove_terms, method):
+        appeal = AppealRecord("A1", text)
+        preprocess = PreprocessConfig(remove_terms=remove_terms)
+        config = replace(PLAIN_CONFIG, preprocess=preprocess, similarity_method=method)
+        prepared = prepare_themes(SEVEN_THEMES, config)
+        try:
+            fresh = ranking.AppealAnalysis(appeal, preprocess)
+        except PipelineError:
+            return  # nothing left after preprocessing, whichever path
+        segmented = ranking.AppealAnalysis(appeal, preprocess)
+        segmented.sentences  # as a summary cell of the same memo leaves it
+
+        def outcome(analysis):
+            try:
+                return ranking._scores(appeal, analysis, config, prepared).tobytes()
+            except PipelineError as exc:
+                return str(exc)
+
+        slow = outcome(fresh)
+        assert "sentences" not in vars(fresh)
+        with mock.patch.object(ranking, "tokenize", side_effect=AssertionError("tokenized")):
+            assert outcome(segmented) == slow
+
+
+_ORDER_CONFIGS = [
+    PipelineConfig(),
+    PipelineConfig(representation="lexrank", summary=SummaryConfig(size=3)),
+    PipelineConfig(representation="fulltext"),
+    PipelineConfig(representation="fulltext", similarity_method="cosine"),
+    PipelineConfig(similarity_method="cosine", preprocess=PreprocessConfig(remove_terms=False)),
+    PipelineConfig(bm25=Bm25Params(idf_variant="epsilon_floor")),
+]
+
+
+def _rankings_by_appeal(appeals, catalog, config, parallel) -> list[str]:
+    """rankings.csv lines, the header first, then sorted by appeal id."""
+    results, _ = classify_corpus(appeals, catalog, config, parallel)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rankings.csv"
+        write_rankings(path, results, gold_labels(appeals, catalog))
+        header, *rows = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    return [header, *sorted(rows, key=lambda row: row.split(",", 1)[0])]
+
+
+class TestOrderInvariance:
+    """Reordering the catalog or the appeals changes no ranking: ids, ranks
+    and score bits per appeal stay, at any parallelism."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.data(), st.sampled_from(_ORDER_CONFIGS))
+    def test_shuffled_catalog_and_appeals_rank_the_same(self, data, config):
+        themes = make_themes(data.draw(st.integers(3, 12)))
+        rows = make_appeals(themes, data.draw(st.integers(2, 6)), seed=data.draw(st.integers(0, 2**16)))
+        appeals = [AppealRecord(appeal_id, text, gold) for appeal_id, text, gold in rows]
+        catalog = ThemeCatalog(ThemeRecord(theme_id, text) for theme_id, text in themes)
+        expected = _rankings_by_appeal(appeals, catalog, config, parallel=1)
+
+        shuffled_catalog = ThemeCatalog(data.draw(st.permutations(list(catalog))))
+        shuffled_appeals = data.draw(st.permutations(appeals))
+        for parallel in (1, 2):
+            assert _rankings_by_appeal(shuffled_appeals, shuffled_catalog, config, parallel) == expected
 
 
 class TestClassifyGrid:
