@@ -158,10 +158,14 @@ def _outdir(args) -> Path | None:
 
 def _write_atomic(path: Path, write) -> None:
     """Run ``write`` on a sibling temporary path, then rename it over ``path``,
-    so a reader never sees a partial file."""
+    so a reader never sees a partial file; on failure the temporary is removed."""
     tmp = path.with_name(path.name + ".tmp")
-    write(tmp)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -169,6 +173,10 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_classify(args) -> int:
+    if args.text is not None and args.appeals is not None:
+        raise ConfigError("classify takes --text or --appeals, not both")
+    if args.appeal_id is not None and args.appeals is None:
+        raise ConfigError("classify --appeal-id needs --appeals")
     merged = _merged_config(args)
     pipeline = build_pipeline(merged)
     outdir = _outdir(args)

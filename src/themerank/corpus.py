@@ -169,31 +169,18 @@ def write_records(path: str | Path, delimiter: str, rows: Iterable[list[str]]) -
             (quoted if any("\r" in field for field in row) else minimal).writerow(row)
 
 
-def write_appeals(
-    path: str | Path,
-    appeals: Iterable[AppealRecord],
-    *,
-    delimiter: str = ",",
-    id_col: str = "id",
-    text_col: str = "text",
-    theme_col: str = "theme",
-) -> None:
-    """Write appeals back to the delimited format accepted by load_appeals."""
+def write_appeals(path: str | Path, appeals: Iterable[AppealRecord], *, delimiter: str = ",") -> None:
+    """Write appeals back to the delimited format load_appeals reads by
+    default: columns id, text and theme."""
     rows = ([a.id, a.raw_text, a.label_theme_id or ""] for a in appeals)
-    write_records(path, delimiter, [[id_col, text_col, theme_col], *rows])
+    write_records(path, delimiter, [["id", "text", "theme"], *rows])
 
 
-def write_themes(
-    path: str | Path,
-    themes: Iterable[ThemeRecord],
-    *,
-    delimiter: str = ",",
-    id_col: str = "id",
-    text_col: str = "text",
-) -> None:
-    """Write a theme catalog back to the delimited format accepted by load_themes."""
+def write_themes(path: str | Path, themes: Iterable[ThemeRecord], *, delimiter: str = ",") -> None:
+    """Write a theme catalog back to the delimited format load_themes reads
+    by default: columns id and text."""
     rows = ([t.id, t.text] for t in themes)
-    write_records(path, delimiter, [[id_col, text_col], *rows])
+    write_records(path, delimiter, [["id", "text"], *rows])
 
 
 def gold_labels(appeals: Iterable[AppealRecord], catalog: ThemeCatalog) -> dict[str, str]:

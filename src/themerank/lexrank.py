@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .bm25 import Bm25Index, query_rows, scores_for_rows
-from .textproc import Sentence, term_counts, tokenize
+from .textproc import term_counts, tokenize
 
 CENTRALITY_VARIANTS = ("degree", "continuous")
 
@@ -127,7 +127,7 @@ class Summary:
 
 
 def similarity_matrix(
-    sentences: Sequence[Sequence[str]], threshold: float = 0.1, counts: sparse.csr_matrix | None = None
+    sentences: Sequence[Sequence[str]], threshold: float, counts: sparse.csr_matrix | None = None
 ) -> SentenceGraph:
     """Idf-modified cosine similarity between every pair of token sequences.
 
@@ -182,17 +182,13 @@ def degree_centrality(graph: SentenceGraph) -> np.ndarray:
     return degrees / denom
 
 
-def continuous_centrality(
-    graph: SentenceGraph,
-    damping: float = 0.85,
-    tolerance: float = 1e-8,
-    max_iterations: int = 1000,
-) -> np.ndarray:
+def continuous_centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
     """Stationary distribution of the row-normalized similarity walk.
 
     Rows are normalized to transition probabilities (all-zero rows become
     uniform), mixed with the uniform distribution at rate ``1 - damping``,
-    and iterated until the L1 change drops below ``tolerance``. Each row is
+    and iterated until the L1 change drops below ``tolerance``, for at most
+    ``max_iterations`` steps: all three from ``config``. Each row is
     summed in column order, whatever order the graph stores it in, and the
     one graph read becomes the transition matrix in place.
     """
@@ -207,6 +203,7 @@ def continuous_centrality(
     transition.data *= np.repeat(inv, np.diff(transition.indptr))
     zero_rows = row_sums <= 0
 
+    damping, tolerance, max_iterations = config.damping, config.tolerance, config.max_iterations
     x = np.full(n, 1.0 / n)
     uniform = (1.0 - damping) / n
     for _ in range(max_iterations):
@@ -222,9 +219,7 @@ def continuous_centrality(
 
 def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
     if config.centrality == "continuous":
-        return continuous_centrality(
-            graph, config.damping, config.tolerance, config.max_iterations
-        )
+        return continuous_centrality(graph, config)
     return degree_centrality(graph)
 
 
@@ -264,19 +259,17 @@ def select_top(scores: np.ndarray, size: int) -> list[int]:
 
 
 class SentenceAnalysis:
-    """What every summary of one document shares: its sentences, their token
-    lists and one term-count matrix that feeds the graph, guidance and the
-    BM25 query of each summary; and on first use the centrality γ per graph
-    setting, and the binary queries and guidance σ against the last theme
-    index asked for."""
+    """What every summary of one document shares: its sentences' token lists
+    and one term-count matrix that feeds the graph, guidance and the BM25
+    query of each summary; and on first use the centrality γ per graph
+    setting, and one theme slot: the last theme index asked for, the binary
+    queries against it and, once a guided summary asks, guidance σ."""
 
-    def __init__(self, sentences: Sequence[Sentence]):
-        self.sentences = tuple(sentences)
-        self.tokens = [tokenize(s.text) for s in self.sentences]
+    def __init__(self, sentences: Sequence[str]):
+        self.tokens = [tokenize(text) for text in sentences]
         self.terms, self.counts = term_counts(self.tokens)
         self._gamma: dict[tuple, np.ndarray] = {}
-        self._queries: tuple[Bm25Index, sparse.csr_matrix] | None = None
-        self._sigma: tuple[Bm25Index, np.ndarray] | None = None
+        self._theme: tuple[Bm25Index, sparse.csr_matrix, np.ndarray | None] | None = None
 
     def gamma(self, config: SummaryConfig) -> np.ndarray:
         key = config.graph_settings
@@ -286,26 +279,26 @@ class SentenceAnalysis:
         return self._gamma[key]
 
     def queries(self, theme_index: Bm25Index) -> sparse.csr_matrix:
-        if self._queries is None or self._queries[0] is not theme_index:
-            self._queries = (theme_index, query_rows(theme_index, self.terms, self.counts))
-        return self._queries[1]
+        if self._theme is None or self._theme[0] is not theme_index:
+            self._theme = (theme_index, query_rows(theme_index, self.terms, self.counts), None)
+        return self._theme[1]
 
     def sigma(self, theme_index: Bm25Index) -> np.ndarray:
-        if self._sigma is None or self._sigma[0] is not theme_index:
-            sigma = guidance_scores(self.tokens, theme_index, self.queries(theme_index))
-            self._sigma = (theme_index, sigma)
-        return self._sigma[1]
+        queries = self.queries(theme_index)
+        if self._theme[2] is None:
+            self._theme = (theme_index, queries, guidance_scores(self.tokens, theme_index, queries))
+        return self._theme[2]
 
     def bm25_scores(self, theme_index: Bm25Index, rows: Sequence[int]) -> np.ndarray:
         """Scores of the sentences at ``rows`` as one BM25 query, the union
         of their terms: ``scores_for_all`` of their tokens."""
         queries = self.queries(theme_index)
-        chosen = np.zeros(len(self.sentences), dtype=bool)
+        chosen = np.zeros(len(self.tokens), dtype=bool)
         chosen[list(rows)] = True
         return scores_for_rows(theme_index, queries.indices[np.repeat(chosen, np.diff(queries.indptr))])
 
 
-def select(
+def summarize(
     analysis: SentenceAnalysis,
     config: SummaryConfig,
     theme_index: Bm25Index | None = None,
@@ -319,12 +312,3 @@ def select(
 
     order = select_top(scores, config.size)
     return Summary(indices=tuple(sorted(order)), order=tuple(order))
-
-
-def summarize(
-    sentences: Sequence[Sentence],
-    config: SummaryConfig,
-    theme_index: Bm25Index | None = None,
-) -> Summary:
-    """The highest-scoring sentences, in document order."""
-    return select(SentenceAnalysis(sentences), config, theme_index)

@@ -23,8 +23,7 @@ import numpy as np
 
 from .bm25 import Bm25Index, Bm25Params, build_index
 from .corpus import AppealRecord, ThemeCatalog, write_records
-from .lexrank import SentenceAnalysis, SummaryConfig, select, select_top
-from .lexrank import summarize  # noqa: F401  perfbench/spans.py wraps it at this binding
+from .lexrank import SentenceAnalysis, SummaryConfig, select_top, summarize
 from .similarity import EmbeddingCosine, TfidfCosine, load_embeddings, score_by_bm25
 from .similarity import cosine, tfidf_vectors  # noqa: F401  perfbench/spans.py wraps them here
 from .textproc import PreprocessConfig, extract_core, remove_noise, segment_sentences, tokenize
@@ -155,10 +154,10 @@ def _scores(
     else:
         sentences = analysis.sentences
         if config.representation == "fulltext":
-            rows = range(len(sentences.sentences))
+            rows = range(len(sentences.tokens))
         else:
             theme_index = prepared.index if config.representation == "guided_lexrank" else None
-            rows = select(sentences, config.summary, theme_index).indices
+            rows = summarize(sentences, config.summary, theme_index).indices
         if config.similarity_method == "bm25":
             return sentences.bm25_scores(prepared.index, rows)
         # segmentation cuts only at whitespace runs and tokenize splits there,

@@ -57,14 +57,6 @@ DEFAULT_ABBREVIATIONS = frozenset(
 
 
 @dataclass(frozen=True)
-class Sentence:
-    """A sentence with its 0-based position in the source document."""
-
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class RemovalRule:
     """A named regular-expression rule applied during noise removal."""
 
@@ -190,13 +182,13 @@ def abbreviation_key(entry: str) -> str:
 
 def segment_sentences(
     text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[Sentence]:
-    """Split text into sentences at terminal punctuation.
+) -> list[str]:
+    """Split text into sentences at terminal punctuation, in document order.
 
     A split happens after a run of ``. ! ? …`` followed by whitespace and an
     uppercase letter or digit, unless the token carrying the punctuation is an
-    abbreviation from the guard list. Empty fragments are dropped and indices
-    reassigned contiguously.
+    abbreviation from the guard list. Sentences are stripped and empty
+    fragments dropped.
     """
     if not text:
         raise ValueError("segment_sentences requires non-empty text")
@@ -212,11 +204,11 @@ def segment_sentences(
             if abbreviation_key(text[t:i]) not in abbreviations:
                 piece = text[start:j].strip()
                 if piece:
-                    sentences.append(Sentence(len(sentences), piece))
+                    sentences.append(piece)
                 start = k
     piece = text[start:].strip()
     if piece:
-        sentences.append(Sentence(len(sentences), piece))
+        sentences.append(piece)
     return sentences
 
 

@@ -30,6 +30,7 @@ from oracles import (
 from themerank.bm25 import Bm25Params, build_index, scores_for_all
 from themerank.corpus import corpus_stats, gold_labels, load_appeals, load_themes
 from themerank.lexrank import (
+    SentenceAnalysis,
     SummaryConfig,
     continuous_centrality,
     degree_centrality,
@@ -47,7 +48,6 @@ from themerank.metrics import (
     recall_at_k,
 )
 from themerank.ranking import PipelineConfig, classify_corpus, write_rankings
-from themerank.textproc import Sentence
 from test_lexrank import graph_from_dense
 
 APPEALS_ENV = os.environ.get("THEMERANK_APPEALS")
@@ -122,7 +122,7 @@ def test_criterion_3_centrality_numerics():
             np.fill_diagonal(weights, 1.0)
             graph = graph_from_dense(weights, threshold=0.3)
 
-            gamma = continuous_centrality(graph, damping=0.85, tolerance=1e-8)
+            gamma = continuous_centrality(graph, SummaryConfig(damping=0.85, tolerance=1e-8))
             expected = stationary_brute(weights, 0.85)
             assert np.all(np.abs(gamma - expected) < 1e-6)
             assert abs(gamma.sum() - 1.0) <= 1e-9
@@ -158,7 +158,7 @@ def _random_document(rng: random.Random):
     words = [f"w{i}" for i in range(14)]
     n = rng.randint(3, 9)
     token_lists = [[rng.choice(words) for _ in range(rng.randint(1, 8))] for _ in range(n)]
-    sentences = [Sentence(i, " ".join(toks)) for i, toks in enumerate(token_lists)]
+    sentences = [" ".join(toks) for toks in token_lists]
     themes = {
         f"T{t}": [rng.choice(words) for _ in range(rng.randint(2, 5))] for t in range(rng.randint(2, 5))
     }
@@ -172,17 +172,18 @@ def test_criterion_5_guided_limiting_cases():
             token_lists, sentences, themes = _random_document(rng)
             index = build_index(list(themes.items()))
             size = rng.randint(1, len(sentences))
+            analysis = SentenceAnalysis(sentences)
 
-            plain = summarize(sentences, SummaryConfig(size=size))
+            plain = summarize(analysis, SummaryConfig(size=size))
             beta_zero = summarize(
-                sentences,
+                analysis,
                 SummaryConfig(size=size, alpha=1.0, beta=0.0),
                 theme_index=index,
             )
             assert set(beta_zero.indices) == set(plain.indices)
 
             alpha_zero = summarize(
-                sentences,
+                analysis,
                 SummaryConfig(size=size, alpha=0.0, beta=1.0),
                 theme_index=index,
             )
@@ -191,7 +192,7 @@ def test_criterion_5_guided_limiting_cases():
             assert list(alpha_zero.order) == by_sigma
 
             both = summarize(
-                sentences,
+                analysis,
                 SummaryConfig(size=size, alpha=1.0, beta=1.0),
                 theme_index=index,
             )

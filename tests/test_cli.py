@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from themerank import lexrank, ranking
+from themerank import cli, lexrank, ranking
 from themerank.cli import build_parser, main
 from themerank.config import DEFAULT_CONFIG, OVERRIDE_PATHS
 
@@ -93,6 +93,34 @@ class TestClassify:
     def test_neither_text_nor_appeals_is_error(self, capsys, tiny_themes_file):
         code, _, err = run_cli(capsys, "classify", "--themes", str(tiny_themes_file))
         assert code == 1 and "--text or --appeals" in err
+
+    def test_text_with_appeals_is_error(self, capsys, tiny_appeals_file, tiny_themes_file):
+        code, out, err = run_cli(
+            capsys,
+            "classify",
+            "--text",
+            "qualquer",
+            "--appeals",
+            str(tiny_appeals_file),
+            "--themes",
+            str(tiny_themes_file),
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: classify takes --text or --appeals, not both"]
+
+    def test_appeal_id_without_appeals_is_error(self, capsys, tiny_themes_file):
+        code, out, err = run_cli(
+            capsys,
+            "classify",
+            "--text",
+            "qualquer",
+            "--appeal-id",
+            "NOPE",
+            "--themes",
+            str(tiny_themes_file),
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: classify --appeal-id needs --appeals"]
 
     def test_unknown_appeal_id(self, capsys, tiny_appeals_file, tiny_themes_file):
         code, _, err = run_cli(
@@ -190,6 +218,23 @@ class TestEvaluate:
         assert err.splitlines() == [
             "error: no appeal ranked (2 failed; the first: A1: text empty after preprocessing)"
         ]
+
+    def test_failed_write_leaves_no_temporary(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, monkeypatch
+    ):
+        def failing_write(path, rankings, gold=None):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write("appeal_id,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_rankings", failing_write)
+        outdir = tmp_path / "d"
+        code, out, err = run_cli(
+            capsys, *self.evaluate_args(tiny_appeals_file, tiny_themes_file, "--out", str(outdir))
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: disk full"]
+        assert list(outdir.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["classify", "evaluate", "grid"])
     @pytest.mark.parametrize("value", ["0", "-1", "two"])

@@ -116,7 +116,7 @@ class TestLoadRunConfig:
         preprocess = build_preprocess(load_run_config(str(path)))
         assert "art" in preprocess.abbreviations
         text = "Conforme o Art. 5 da lei. Fim."
-        assert [s.text for s in segment_sentences(text, preprocess.abbreviations)] == [
+        assert segment_sentences(text, preprocess.abbreviations) == [
             "Conforme o Art. 5 da lei.",
             "Fim.",
         ]
@@ -134,7 +134,7 @@ class TestLoadRunConfig:
         config = load_run_config(None)
         config["preprocess"].update(abbreviations=[entry], remove_terms=remove_terms)
         analysis = ranking.AppealAnalysis(AppealRecord("A1", text), build_preprocess(config))
-        sentences = [s.text for s in analysis.sentences.sentences]
+        sentences = segment_sentences(analysis.cleaned, analysis.abbreviations)
         assert len(sentences) == 2 and sentences[-1] == "Fim."
 
     @pytest.mark.parametrize(

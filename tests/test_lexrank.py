@@ -31,12 +31,10 @@ from themerank.lexrank import (
     continuous_centrality,
     degree_centrality,
     guidance_scores,
-    select,
     select_top,
     similarity_matrix,
     summarize,
 )
-from themerank.textproc import Sentence
 
 
 @dataclass(frozen=True)
@@ -72,16 +70,17 @@ def random_token_lists(rng: random.Random, max_sentences=10, vocab=12):
 
 class TestSimilarityMatrix:
     def test_identical_sentences(self):
-        graph = similarity_matrix([["a", "b"], ["a", "b"]])
+        graph = similarity_matrix([["a", "b"], ["a", "b"]], 0.1)
         assert graph.weights.toarray()[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_vocabulary(self):
-        graph = similarity_matrix([["a", "b"], ["c", "d"]])
+        graph = similarity_matrix([["a", "b"], ["c", "d"]], 0.1)
         assert graph.weights.toarray()[0, 1] == 0.0
 
     def test_three_sentence_hand_values(self):
         graph = similarity_matrix(
-            [["réu", "pagou", "dívida"], ["réu", "negou", "dívida"], ["corte", "julgou", "caso"]]
+            [["réu", "pagou", "dívida"], ["réu", "negou", "dívida"], ["corte", "julgou", "caso"]],
+            0.1,
         )
         dense = graph.weights.toarray()
         assert dense[0, 1] == pytest.approx(0.472859485454, abs=1e-10)
@@ -92,7 +91,7 @@ class TestSimilarityMatrix:
         rng = random.Random(17)
         for _ in range(25):
             token_lists = random_token_lists(rng)
-            dense = similarity_matrix(token_lists).weights.toarray()
+            dense = similarity_matrix(token_lists, 0.1).weights.toarray()
             expected = np.array(sentence_similarity_brute(token_lists))
             assert np.allclose(dense, expected, atol=1e-10)
 
@@ -100,13 +99,13 @@ class TestSimilarityMatrix:
         rng = random.Random(29)
         for _ in range(10):
             token_lists = random_token_lists(rng)
-            dense = similarity_matrix(token_lists).weights.toarray()
+            dense = similarity_matrix(token_lists, 0.1).weights.toarray()
             assert np.array_equal(dense, dense.T)
             assert np.all(np.diag(dense) == 1.0)
             assert np.all((dense >= 0.0) & (dense <= 1.0))
 
     def test_empty_sentence_gets_zero_row(self):
-        dense = similarity_matrix([["a", "b"], [], ["a"]]).weights.toarray()
+        dense = similarity_matrix([["a", "b"], [], ["a"]], 0.1).weights.toarray()
         assert np.all(dense[1] == 0.0) and np.all(dense[:, 1] == 0.0)
 
     def test_permutation_equivariant(self):
@@ -114,13 +113,13 @@ class TestSimilarityMatrix:
         token_lists = random_token_lists(rng, max_sentences=6)
         perm = list(range(len(token_lists)))
         rng.shuffle(perm)
-        base = similarity_matrix(token_lists).weights.toarray()
-        shuffled = similarity_matrix([token_lists[i] for i in perm]).weights.toarray()
+        base = similarity_matrix(token_lists, 0.1).weights.toarray()
+        shuffled = similarity_matrix([token_lists[i] for i in perm], 0.1).weights.toarray()
         assert np.allclose(shuffled, base[np.ix_(perm, perm)], atol=1e-12)
 
     def test_all_empty_rejected(self):
         with pytest.raises(ValueError):
-            similarity_matrix([[], []])
+            similarity_matrix([[], []], 0.1)
 
 
 sentence_token_lists = st.lists(
@@ -149,7 +148,7 @@ class TestGraphMatchesRebuild:
     @example([[], ["a", "c"], [], ["c", "a", "a"]])
     def test_weights_bitwise(self, token_lists):
         assume(any(token_lists))
-        graph = similarity_matrix(token_lists)
+        graph = similarity_matrix(token_lists, 0.1)
         assert graph.n == len(token_lists)
         assert_same_csr(graph.weights.sorted_indices(), similarity_graph_rebuilt(token_lists))
 
@@ -159,10 +158,11 @@ class TestGraphMatchesRebuild:
     @example([["a", "b"], ["a", "b"], []], 0.1)
     def test_gamma_bitwise(self, token_lists, threshold):
         assume(any(token_lists))
-        graph = similarity_matrix(token_lists, threshold=threshold)
+        graph = similarity_matrix(token_lists, threshold)
         rebuilt = WeightsGraph(similarity_graph_rebuilt(token_lists), threshold)
         assert degree_centrality(graph).tobytes() == degree_centrality(rebuilt).tobytes()
-        assert continuous_centrality(graph).tobytes() == continuous_centrality(rebuilt).tobytes()
+        gamma = continuous_centrality(graph, SummaryConfig())
+        assert gamma.tobytes() == continuous_centrality(rebuilt, SummaryConfig()).tobytes()
 
 
 class TestContinuousInPlace:
@@ -178,8 +178,8 @@ class TestContinuousInPlace:
         assume(any(token_lists))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexrank, "ROW_BLOCK", 3)
-            graph = similarity_matrix(token_lists)
-            gamma = continuous_centrality(graph, damping=damping)
+            graph = similarity_matrix(token_lists, 0.1)
+            gamma = continuous_centrality(graph, SummaryConfig(damping=damping))
             expected = continuous_centrality_transposed(graph, damping=damping)
         assert gamma.tobytes() == expected.tobytes()
 
@@ -197,7 +197,7 @@ class TestGraphInBlocks:
     @example([["a", "b"], ["a", "c"], ["d"], ["b", "e"]], 0.99)  # above every off-diagonal weight
     def test_degree_equals_full_graph_count(self, token_lists, threshold):
         assume(any(token_lists))
-        analysis = SentenceAnalysis(make_sentences([" ".join(tokens) for tokens in token_lists]))
+        analysis = SentenceAnalysis([" ".join(tokens) for tokens in token_lists])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexrank, "ROW_BLOCK", 3)
             gamma = analysis.gamma(SummaryConfig(threshold=threshold))
@@ -211,13 +211,14 @@ class TestGraphInBlocks:
         assume(any(token_lists))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexrank, "ROW_BLOCK", 3)
-            weights = similarity_matrix(token_lists).weights
-            gamma = SentenceAnalysis(
-                make_sentences([" ".join(tokens) for tokens in token_lists])
-            ).gamma(SummaryConfig(centrality="continuous"))
+            weights = similarity_matrix(token_lists, 0.1).weights
+            gamma = SentenceAnalysis([" ".join(tokens) for tokens in token_lists]).gamma(
+                SummaryConfig(centrality="continuous")
+            )
         rebuilt = similarity_graph_rebuilt(token_lists)
         assert_same_csr(weights.sorted_indices(), rebuilt)
-        assert gamma.tobytes() == continuous_centrality(WeightsGraph(rebuilt, 0.1)).tobytes()
+        expected = continuous_centrality(WeightsGraph(rebuilt, 0.1), SummaryConfig())
+        assert gamma.tobytes() == expected.tobytes()
 
     def test_degree_never_holds_the_full_graph(self):
         rng = random.Random(61)
@@ -227,7 +228,7 @@ class TestGraphInBlocks:
             "comum " + " ".join(rng.choice(words) for _ in range(rng.randint(3, 12)))
             for _ in range(n)
         ]
-        analysis = SentenceAnalysis(make_sentences(texts))
+        analysis = SentenceAnalysis(texts)
         assert all("comum" in tokens for tokens in analysis.tokens)
         # every pair shares a term, so the full graph stores all n² entries,
         # each a float64 weight and an int32 column index
@@ -291,7 +292,7 @@ class TestDegreeCentrality:
 class TestContinuousCentrality:
     def test_uniform_graph(self):
         weights = np.ones((4, 4))
-        gamma = continuous_centrality(graph_from_dense(weights))
+        gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig())
         assert np.allclose(gamma, 0.25, atol=1e-12)
 
     def test_sums_to_one(self):
@@ -300,7 +301,7 @@ class TestContinuousCentrality:
             n = int(rng.integers(2, 12))
             weights = rng.uniform(0, 1, (n, n))
             weights = (weights + weights.T) / 2
-            gamma = continuous_centrality(graph_from_dense(weights))
+            gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig())
             assert abs(gamma.sum() - 1.0) < 1e-9
             assert np.all(gamma >= 0.0)
 
@@ -311,19 +312,19 @@ class TestContinuousCentrality:
             weights = rng.uniform(0, 1, (n, n))
             weights = (weights + weights.T) / 2
             np.fill_diagonal(weights, 1.0)
-            gamma = continuous_centrality(graph_from_dense(weights), damping=0.85)
+            gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig(damping=0.85))
             expected = stationary_brute(weights, 0.85)
             assert np.allclose(gamma, expected, atol=1e-6)
 
     def test_zero_row_replaced_by_uniform(self):
         weights = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.8], [0.0, 0.8, 1.0]])
-        gamma = continuous_centrality(graph_from_dense(weights))
+        gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig())
         expected = stationary_brute(weights, 0.85)
         assert np.allclose(gamma, expected, atol=1e-6)
 
     def test_all_zero_graph_rejected(self):
         with pytest.raises(ValueError):
-            continuous_centrality(graph_from_dense(np.zeros((3, 3))))
+            continuous_centrality(graph_from_dense(np.zeros((3, 3))), SummaryConfig())
 
     def test_non_convergence_raises(self):
         rng = np.random.default_rng(10)
@@ -331,7 +332,7 @@ class TestContinuousCentrality:
         weights = (weights + weights.T) / 2
         with pytest.raises(RuntimeError, match="converge"):
             continuous_centrality(
-                graph_from_dense(weights), tolerance=1e-300, max_iterations=3
+                graph_from_dense(weights), SummaryConfig(tolerance=1e-300, max_iterations=3)
             )
 
 
@@ -441,28 +442,24 @@ class TestSummaryConfig:
         assert np.isfinite(blended).all()
 
 
-def make_sentences(texts):
-    return [Sentence(i, t) for i, t in enumerate(texts)]
-
-
 class TestSummarize:
     def test_size_at_least_n_keeps_document_order(self):
-        sentences = make_sentences(["Um texto.", "Outro texto.", "Mais um texto."])
-        summary = summarize(sentences, SummaryConfig(size=10))
+        analysis = SentenceAnalysis(["Um texto.", "Outro texto.", "Mais um texto."])
+        summary = summarize(analysis, SummaryConfig(size=10))
         assert summary.indices == (0, 1, 2)
 
     def test_plain_full_size_is_identity(self):
-        sentences = make_sentences(["A b c.", "B c d.", "C d e.", "D e f."])
-        summary = summarize(sentences, SummaryConfig(size=4))
+        analysis = SentenceAnalysis(["A b c.", "B c d.", "C d e.", "D e f."])
+        summary = summarize(analysis, SummaryConfig(size=4))
         assert summary.indices == (0, 1, 2, 3)
 
     def test_guided_alpha_zero_prefers_theme_match(self):
         index = build_index([("T1", ["prescrição", "intercorrente"])])
-        sentences = make_sentences(
+        analysis = SentenceAnalysis(
             ["Fato banal ocorreu. ", "Houve prescrição intercorrente.", "Nada relevante aqui."]
         )
         config = SummaryConfig(size=1, alpha=0.0, beta=1.0)
-        summary = summarize(sentences, config, theme_index=index)
+        summary = summarize(analysis, config, theme_index=index)
         assert summary.order[0] == 1
 
     def test_guided_beta_zero_equals_plain_selection(self):
@@ -470,11 +467,11 @@ class TestSummarize:
         index = build_index([("T1", ["w1", "w2"]), ("T2", ["w3", "w4", "w5"])])
         for _ in range(20):
             token_lists = random_token_lists(rng, max_sentences=8)
-            sentences = make_sentences([" ".join(toks) for toks in token_lists])
-            size = rng.randint(1, len(sentences))
-            plain = summarize(sentences, SummaryConfig(size=size))
+            analysis = SentenceAnalysis([" ".join(toks) for toks in token_lists])
+            size = rng.randint(1, len(token_lists))
+            plain = summarize(analysis, SummaryConfig(size=size))
             guided = summarize(
-                sentences,
+                analysis,
                 SummaryConfig(size=size, alpha=1.0, beta=0.0),
                 theme_index=index,
             )
@@ -490,10 +487,10 @@ class TestSummarize:
         index = build_index(list(theme_docs.items()))
         for _ in range(20):
             token_lists = random_token_lists(rng, max_sentences=6)
-            sentences = make_sentences([" ".join(toks) for toks in token_lists])
-            size = rng.randint(1, len(sentences))
+            analysis = SentenceAnalysis([" ".join(toks) for toks in token_lists])
+            size = rng.randint(1, len(token_lists))
             config = SummaryConfig(size=size, alpha=1.0, beta=1.0)
-            summary = summarize(sentences, config, theme_index=index)
+            summary = summarize(analysis, config, theme_index=index)
             expected = guided_selection_brute(token_lists, theme_docs, 1.0, 1.0, size)
             assert list(summary.order) == expected
 
@@ -508,26 +505,26 @@ class TestSummarize:
             "Frase comum banal.",
             "Tema outro aqui presente.",
         ]
-        sentences = make_sentences(texts)
+        analysis = SentenceAnalysis(texts)
         config = SummaryConfig(size=2, alpha=1.0, beta=1.0)
-        summary = summarize(sentences, config, theme_index=index)
+        summary = summarize(analysis, config, theme_index=index)
         expected = guided_selection_brute(
             [t.lower().replace(".", "").split() for t in texts], theme_docs, 1.0, 1.0, 2
         )
         assert sorted(summary.order) == sorted(expected)
 
     def test_ties_break_by_ascending_index(self):
-        sentences = make_sentences(["Mesma frase aqui.", "Mesma frase aqui.", "Mesma frase aqui."])
-        summary = summarize(sentences, SummaryConfig(size=2))
+        analysis = SentenceAnalysis(["Mesma frase aqui.", "Mesma frase aqui.", "Mesma frase aqui."])
+        summary = summarize(analysis, SummaryConfig(size=2))
         assert summary.indices == (0, 1)
 
     def test_output_reordered_by_position(self):
         index = build_index([("T1", ["final", "importante"])])
-        sentences = make_sentences(
+        analysis = SentenceAnalysis(
             ["Nada de mais. ", "Comum banal corriqueiro.", "Final importante decisivo."]
         )
         config = SummaryConfig(size=2, alpha=0.0, beta=1.0)
-        summary = summarize(sentences, config, theme_index=index)
+        summary = summarize(analysis, config, theme_index=index)
         assert summary.indices == tuple(sorted(summary.indices))
         assert isinstance(summary, Summary)
 
@@ -564,7 +561,7 @@ class TestSharedAnalysis:
         )
         for _ in range(10):
             token_lists = random_token_lists(rng, max_sentences=9)
-            sentences = make_sentences([" ".join(toks) for toks in token_lists])
+            sentences = [" ".join(toks) for toks in token_lists]
             analysis = SentenceAnalysis(sentences)
             graphs.clear()
             configs = [
@@ -575,10 +572,10 @@ class TestSharedAnalysis:
             ]
             for config in configs:
                 for theme_index in (None, index, other_index):
-                    assert select(analysis, config, theme_index) == summarize(
-                        sentences, config, theme_index
+                    assert summarize(analysis, config, theme_index) == summarize(
+                        SentenceAnalysis(sentences), config, theme_index
                     )
-            fresh = 3 * len(configs)  # one graph per summarize call
+            fresh = 3 * len(configs)  # one graph per fresh analysis
             assert len(graphs) == 2 + fresh  # one per threshold from the shared analysis
 
 
@@ -603,7 +600,7 @@ class TestSharedCounts:
         prefix = "" if shared else "t"
         docs = [(f"T{i}", [prefix + t for t in tokens]) for i, tokens in enumerate(themes)]
         index = build_index(docs, Bm25Params(idf_variant=variant))
-        analysis = SentenceAnalysis(make_sentences([" ".join(toks) for toks in sentences]))
+        analysis = SentenceAnalysis([" ".join(toks) for toks in sentences])
         assert analysis.tokens == sentences
         expected = guidance_brute(sentences, index)
         assert analysis.sigma(index).tobytes() == expected.tobytes()
@@ -621,9 +618,9 @@ class TestSharedCounts:
         index = build_index(
             [(f"T{i}", tokens) for i, tokens in enumerate(themes)], Bm25Params(idf_variant=variant)
         )
-        analysis = SentenceAnalysis(make_sentences([" ".join(toks) for toks in sentences]))
+        analysis = SentenceAnalysis([" ".join(toks) for toks in sentences])
         for theme_index in (None, index):  # lexrank, guided_lexrank
-            rows = select(analysis, SummaryConfig(size=size), theme_index).indices
+            rows = summarize(analysis, SummaryConfig(size=size), theme_index).indices
             tokens = [token for i in rows for token in sentences[i]]
             got = analysis.bm25_scores(index, rows)
             assert got.tobytes() == scores_for_all(index, tokens).tobytes()

@@ -29,8 +29,8 @@ from themerank.ranking import (
     write_rankings,
 )
 from themerank.similarity import EmbeddingTable
-from themerank.textproc import PreprocessConfig, tokenize
-from themerank.lexrank import SummaryConfig, select
+from themerank.textproc import PreprocessConfig, segment_sentences, tokenize
+from themerank.lexrank import SummaryConfig, summarize
 
 
 def catalog_of(*pairs) -> ThemeCatalog:
@@ -138,6 +138,20 @@ class TestClassifyAppeal:
         with pytest.raises(ValueError, match="alpha \\+ beta > 0"):
             PipelineConfig(summary=SummaryConfig(alpha=0.0, beta=0.0))
 
+    def test_summary_cells_summarize_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(ranking, "summarize", counted)
+        appeal = AppealRecord("A1", "Primeira frase do recurso. Segunda frase do recurso.")
+        for representation, expected in (("lexrank", 1), ("guided_lexrank", 1), ("fulltext", 0)):
+            calls.clear()
+            classify_appeal(appeal, SEVEN_THEMES, replace(PLAIN_CONFIG, representation=representation))
+            assert len(calls) == expected, representation
+
 
 class TestCosinePath:
     def test_tfidf_fallback(self):
@@ -185,7 +199,7 @@ class TestCosinePath:
         def no_summary(*args, **kwargs):
             raise AssertionError("an embedding-file cell selected a summary")
 
-        monkeypatch.setattr(ranking, "select", no_summary)
+        monkeypatch.setattr(ranking, "summarize", no_summary)
         appeal = AppealRecord("A1", "Primeira frase do recurso. Segunda frase do recurso.")
         for representation in REPRESENTATIONS:
             config = replace(
@@ -370,8 +384,9 @@ class TestSummaryTokens:
         )
         prepared = prepare_themes(SEVEN_THEMES, config)
         theme_index = prepared.index if representation == "guided_lexrank" else None
-        summary = select(analysis.sentences, config.summary, theme_index)
-        tokens = tokenize(" ".join(analysis.sentences.sentences[i].text for i in summary.indices))
+        summary = summarize(analysis.sentences, config.summary, theme_index)
+        texts = segment_sentences(analysis.cleaned, analysis.abbreviations)
+        tokens = tokenize(" ".join(texts[i] for i in summary.indices))
         if not tokens:
             with pytest.raises(PipelineError, match="no tokens"):
                 ranking._scores(appeal, analysis, config, prepared)

@@ -146,35 +146,31 @@ class TestTermCounts:
 
 class TestSegmentSentences:
     def test_two_plain_sentences(self):
-        parts = [s.text for s in segment_sentences("Primeira frase. Segunda frase.")]
+        parts = segment_sentences("Primeira frase. Segunda frase.")
         assert parts == ["Primeira frase.", "Segunda frase."]
 
     def test_abbreviation_guard(self):
         for guarded in ["art.", "Art.", "art..", "fls.!", "nº…"]:
-            parts = [s.text for s in segment_sentences(f"Conforme {guarded} 40 da lei. Outro ponto.")]
+            parts = segment_sentences(f"Conforme {guarded} 40 da lei. Outro ponto.")
             assert parts == [f"Conforme {guarded} 40 da lei.", "Outro ponto."], guarded
 
     def test_no_terminal_punctuation(self):
         text = "texto sem pontuação final"
         parts = segment_sentences(text)
-        assert len(parts) == 1 and parts[0].text == text
+        assert parts == [text]
 
     def test_split_requires_uppercase_or_digit(self):
-        parts = [s.text for s in segment_sentences("Valor de 1.5. e depois nada")]
+        parts = segment_sentences("Valor de 1.5. e depois nada")
         assert len(parts) == 1
 
     def test_digit_starts_sentence(self):
-        parts = [s.text for s in segment_sentences("Fim da primeira. 40 dias depois veio outra.")]
+        parts = segment_sentences("Fim da primeira. 40 dias depois veio outra.")
         assert len(parts) == 2
-
-    def test_indices_contiguous(self):
-        parts = segment_sentences("Um. Dois! Três? Quatro.")
-        assert [s.index for s in parts] == list(range(len(parts)))
 
     @given(st.text(min_size=1, max_size=300))
     @settings(max_examples=200)
     def test_preserves_non_whitespace_characters(self, text):
-        joined = " ".join(s.text for s in segment_sentences(text))
+        joined = " ".join(segment_sentences(text))
         assert "".join(joined.split()) == "".join(text.split())
 
 
@@ -361,9 +357,7 @@ class TestLinearKernelsMatchOracles:
     )
     @settings(max_examples=600, deadline=None)
     def test_segmentation_matches_character_loop(self, text, abbreviations):
-        sentences = segment_sentences(text, abbreviations)
-        assert [s.text for s in sentences] == segment_sentences_brute(text, abbreviations)
-        assert [s.index for s in sentences] == list(range(len(sentences)))
+        assert segment_sentences(text, abbreviations) == segment_sentences_brute(text, abbreviations)
 
 
 # Pieces around every edge of the default rules: ASCII and non-ASCII digits
