@@ -23,7 +23,7 @@ from themerank.config import (
 from themerank.corpus import AppealRecord
 from themerank.lexrank import SummaryConfig
 from themerank.ranking import PipelineConfig
-from themerank.textproc import load_stopwords, segment_sentences
+from themerank.textproc import load_stopwords, segment_sentences, tokenize
 
 
 class TestLoadRunConfig:
@@ -134,8 +134,8 @@ class TestLoadRunConfig:
         config = load_run_config(None)
         config["preprocess"].update(abbreviations=[entry], remove_terms=remove_terms)
         analysis = ranking.AppealAnalysis(AppealRecord("A1", text), build_preprocess(config))
-        sentences = segment_sentences(analysis.cleaned, analysis.abbreviations)
-        assert len(sentences) == 2 and sentences[-1] == "Fim."
+        tokens = analysis.sentences.tokens
+        assert len(tokens) == 2 and tokens[-1] == tokenize("Fim.")
 
     @pytest.mark.parametrize(
         "body, key",
