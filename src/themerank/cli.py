@@ -127,14 +127,18 @@ def _merged_config(args) -> dict:
 
 
 def _load_appeals(args, merged: dict):
+    """The appeals file's records; a file with no appeal to classify is an error."""
     columns = merged["appeal_columns"]
-    return corpusmod.load_appeals(
+    appeals = corpusmod.load_appeals(
         args.appeals,
         delimiter=merged["delimiter"],
         id_col=columns["id"],
         text_col=columns["text"],
         theme_col=columns["theme"],
     )
+    if not appeals:
+        raise corpusmod.CorpusError(f"{args.appeals}: no appeal rows after the header")
+    return appeals
 
 
 def _load_themes(args, merged: dict):

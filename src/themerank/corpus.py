@@ -196,19 +196,14 @@ def gold_labels(appeals: Iterable[AppealRecord], catalog: ThemeCatalog) -> dict[
     }
 
 
-def _word_count(record: AppealRecord | ThemeRecord) -> int:
-    text = record.raw_text if isinstance(record, AppealRecord) else record.text
-    return len(text.split())
-
-
-def corpus_stats(docs: Iterable[AppealRecord | ThemeRecord]) -> StatsReport:
-    """Word-count statistics over a non-empty document collection.
+def corpus_stats(docs: Iterable[AppealRecord]) -> StatsReport:
+    """Word-count statistics over the raw text of a non-empty document collection.
 
     Counting splits on Unicode whitespace with no punctuation stripping; the
     median is the middle element, or the mean of the two middle elements for
     even counts.
     """
-    counts = [_word_count(d) for d in docs]
+    counts = [len(d.raw_text.split()) for d in docs]
     if not counts:
         raise CorpusError("corpus_stats requires at least one document")
     return StatsReport(

@@ -146,10 +146,12 @@ def _scores(
         except ValueError as exc:
             raise PipelineError(str(exc)) from exc
     # cached_property keeps a computed analysis in the instance dict: a fulltext
-    # cell segments no text that no summary cell has segmented yet
+    # cell segments no text that no summary cell has segmented yet. A
+    # representation with no tokens reaches the one failure below, whatever
+    # the similarity method.
     if config.representation == "fulltext" and "sentences" not in vars(analysis):
         tokens = tokenize(analysis.cleaned)
-        if config.similarity_method == "bm25":
+        if config.similarity_method == "bm25" and tokens:
             return score_by_bm25(tokens, prepared.index)
     else:
         sentences = analysis.sentences
@@ -158,7 +160,7 @@ def _scores(
         else:
             theme_index = prepared.index if config.representation == "guided_lexrank" else None
             rows = summarize(sentences, config.summary, theme_index).indices
-        if config.similarity_method == "bm25":
+        if config.similarity_method == "bm25" and any(sentences.tokens[i] for i in rows):
             return sentences.bm25_scores(prepared.index, rows)
         # segmentation cuts only at whitespace runs and tokenize splits there,
         # so these are the tokens of the sentences' text joined

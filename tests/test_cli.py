@@ -1017,6 +1017,18 @@ class TestOneLineErrors:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         return err
 
+    @pytest.mark.parametrize("command", ["classify", "evaluate", "grid"])
+    def test_header_only_appeals_file(self, capsys, tiny_themes_file, tmp_path, monkeypatch, command):
+        appeals = tmp_path / "header.csv"
+        appeals.write_text("id,text,theme\n", encoding="utf-8")
+        for name in ("classify_corpus", "classify_grid"):
+            monkeypatch.setattr(cli, name, lambda *_, **__: pytest.fail("classified"))
+        code, out, err = run_cli(
+            capsys, command, "--appeals", str(appeals), "--themes", str(tiny_themes_file)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {appeals}: no appeal rows after the header\n"
+
     def test_config_is_a_directory(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(tmp_path))
         assert str(tmp_path) in err

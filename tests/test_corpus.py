@@ -201,9 +201,12 @@ class TestCorpusStats:
         assert report.median_words == 3.0
         assert (report.min_words, report.max_words) == (2, 4)
 
-    def test_accepts_theme_records(self):
-        report = corpus_stats([ThemeRecord("T1", "um dois três")])
-        assert report.max_words == 3
+    def test_accepts_theme_records(self, tmp_path):
+        # `themerank stats --input` reads a theme file as unlabelled appeal records
+        path = tmp_path / "t.csv"
+        write_themes(path, [ThemeRecord("T1", "um dois três"), ThemeRecord("T2", "um")])
+        report = corpus_stats(load_appeals(path, theme_col=None))
+        assert (report.doc_count, report.min_words, report.max_words) == (2, 1, 3)
 
     def test_empty_input_rejected(self):
         with pytest.raises(CorpusError):

@@ -5,12 +5,15 @@ classified against a small catalog through the default guided pipeline.
 
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
+from types import ModuleType
 
+import themerank
 from themerank.cli import main
-from themerank.corpus import load_appeals, load_themes
+from themerank.corpus import AppealRecord, gold_labels, load_appeals, load_themes, write_appeals
 from themerank.metrics import evaluate_run
-from themerank.corpus import gold_labels
 from themerank.ranking import PipelineConfig, classify_corpus
 
 THEMES = [
@@ -137,3 +140,28 @@ def test_cli_evaluate_on_noisy_fixture(tmp_path, capsys):
     assert report["config"] == (
         "preprocess=remove,representation=guided_lexrank,size=5,similarity=bm25"
     )
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    appeals_path, _ = write_fixture(tmp_path)
+    # one appeal: the example's parallel=8 then runs in this process, with no pool
+    write_appeals(appeals_path, [AppealRecord("A1", appeal_text_prescricao(), "T100")])
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].query_count == 1 and not namespace["failures"]
+
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "themerank"
+        for alias in node.names
+    }
+    exported = {
+        name
+        for name, value in vars(themerank).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert imported == exported and len(exported) == 8

@@ -6,89 +6,80 @@ import random
 import pytest
 
 from oracles import average_precision_brute, ndcg_brute, precision_brute, recall_brute
-from themerank.metrics import (
-    Judgment,
-    average_precision,
-    evaluate_run,
-    f1,
-    map_at_k,
-    ndcg_at_k,
-    precision_at_k,
-    recall_at_k,
-)
+from themerank.metrics import evaluate_run, f1
 from themerank.ranking import RankedThemeList
 
 
-def single_hit_at(rank_position: int, k: int = 6) -> Judgment:
-    ranked = tuple(f"t{i}" for i in range(1, k + 1))
-    return Judgment(ranked, frozenset({ranked[rank_position - 1]}))
+def ranking(theme_ids, appeal_id="A1") -> RankedThemeList:
+    return RankedThemeList(appeal_id, tuple((t, 1.0) for t in theme_ids))
 
 
-MISS = Judgment(tuple(f"t{i}" for i in range(1, 7)), frozenset({"absent"}))
+def single_hit_at(rank_position: int, k: int = 6) -> tuple:
+    """A ranking of k themes whose gold theme sits at ``rank_position``, and its gold map."""
+    ranked = [f"t{i}" for i in range(1, k + 1)]
+    return ranking(ranked), {"A1": ranked[rank_position - 1]}
 
 
-class TestJudgment:
-    def test_duplicate_ranked_ids_rejected(self):
-        with pytest.raises(ValueError):
-            Judgment(("a", "a"), frozenset({"a"}))
+def evaluate_one(ranked_and_gold: tuple, k: int):
+    ranked, gold = ranked_and_gold
+    return evaluate_run([ranked], gold, k)
 
-    def test_empty_relevant_rejected(self):
-        with pytest.raises(ValueError):
-            Judgment(("a",), frozenset())
+
+MISS = (ranking([f"t{i}" for i in range(1, 7)]), {"A1": "absent"})
 
 
 class TestRecall:
     def test_hit_within_k(self):
-        assert recall_at_k(single_hit_at(3), 6) == 1.0
+        assert evaluate_one(single_hit_at(3), 6).recall_at_k == 1.0
 
     def test_miss(self):
-        assert recall_at_k(MISS, 6) == 0.0
-
-    def test_two_relevant_one_found(self):
-        judgment = Judgment(("a", "b", "c"), frozenset({"a", "zz"}))
-        assert recall_at_k(judgment, 3) == 0.5
+        assert evaluate_one(MISS, 6).recall_at_k == 0.0
 
     def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            recall_at_k(single_hit_at(1), 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                evaluate_one(single_hit_at(1), k)
 
 
 class TestPrecision:
     def test_single_hit_k6(self):
-        assert precision_at_k(single_hit_at(3), 6) == pytest.approx(1 / 6)
+        assert evaluate_one(single_hit_at(3), 6).precision_at_k == 1 / 6
 
     def test_miss(self):
-        assert precision_at_k(MISS, 6) == 0.0
+        assert evaluate_one(MISS, 6).precision_at_k == 0.0
 
     def test_hit_at_one_k_one(self):
-        assert precision_at_k(single_hit_at(1), 1) == 1.0
+        assert evaluate_one(single_hit_at(1), 1).precision_at_k == 1.0
 
 
 class TestAveragePrecision:
     def test_hit_at_three(self):
-        assert average_precision(single_hit_at(3), 6) == pytest.approx(1 / 3)
+        assert evaluate_one(single_hit_at(3), 6).map_at_k == 1 / 3
 
     def test_hit_at_one(self):
-        assert average_precision(single_hit_at(1), 6) == 1.0
+        assert evaluate_one(single_hit_at(1), 6).map_at_k == 1.0
 
     def test_miss(self):
-        assert average_precision(MISS, 6) == 0.0
+        assert evaluate_one(MISS, 6).map_at_k == 0.0
 
 
 class TestMap:
     def test_mean_of_two_queries(self):
-        judgments = [single_hit_at(1), single_hit_at(3)]
-        assert map_at_k(judgments, 6) == pytest.approx((1.0 + 1 / 3) / 2)
+        rankings = [ranking(["t1", "t2", "t3"], "A1"), ranking(["t1", "t2", "t3"], "A2")]
+        report = evaluate_run(rankings, {"A1": "t1", "A2": "t3"}, 6)
+        assert report.map_at_k == pytest.approx((1.0 + 1 / 3) / 2)
 
     def test_all_perfect(self):
-        assert map_at_k([single_hit_at(1)] * 4, 6) == 1.0
+        rankings = [ranking(["t1", "t2"], f"A{i}") for i in range(4)]
+        report = evaluate_run(rankings, {r.appeal_id: "t1" for r in rankings}, 6)
+        assert report.map_at_k == 1.0
 
     def test_single_query_equals_its_ap(self):
-        assert map_at_k([single_hit_at(2)], 6) == average_precision(single_hit_at(2), 6)
+        assert evaluate_one(single_hit_at(2), 6).map_at_k == 1 / 2
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            map_at_k([], 6)
+        with pytest.raises(ValueError, match="no evaluable"):
+            evaluate_run([], {}, 6)
 
 
 class TestF1:
@@ -107,18 +98,59 @@ class TestF1:
 
 class TestNdcg:
     def test_hit_at_one(self):
-        assert ndcg_at_k(single_hit_at(1), 6) == 1.0
+        assert evaluate_one(single_hit_at(1), 6).ndcg_at_k == 1.0
 
     def test_hit_at_three(self):
-        assert ndcg_at_k(single_hit_at(3), 6) == pytest.approx(1 / math.log2(4))
+        assert evaluate_one(single_hit_at(3), 6).ndcg_at_k == pytest.approx(1 / math.log2(4))
 
     def test_miss(self):
-        assert ndcg_at_k(MISS, 6) == 0.0
+        assert evaluate_one(MISS, 6).ndcg_at_k == 0.0
 
     def test_non_decreasing_in_k(self):
-        judgment = single_hit_at(5)
-        values = [ndcg_at_k(judgment, k) for k in range(1, 7)]
+        values = [evaluate_one(single_hit_at(5), k).ndcg_at_k for k in range(1, 7)]
         assert values == sorted(values)
+
+
+def random_batch(rng: random.Random, size: int) -> tuple[list[RankedThemeList], dict, int]:
+    """Rankings of 1 to 10 themes with k from 1 to 10, so some are shorter
+    than k; each appeal's gold theme is in its ranking, absent from it, or
+    missing from the gold map."""
+    k = rng.randint(1, 10)
+    rankings, gold = [], {}
+    for i in range(size):
+        ranked = [f"t{j}" for j in range(rng.randint(1, 10))]
+        rankings.append(ranking(ranked, f"A{i}"))
+        draw = rng.random()
+        if draw < 0.6:
+            gold[f"A{i}"] = rng.choice(ranked)
+        elif draw < 0.9:
+            gold[f"A{i}"] = "absent"
+    return rankings, gold, k
+
+
+def assert_matches_oracles(rankings: list[RankedThemeList], gold: dict, k: int) -> None:
+    """evaluate_run agrees with the brute-force evaluators to 1e-12, counts
+    the unlabelled rankings, and rejects a batch with no labelled one."""
+    flags = [
+        [1 if theme_id == gold[r.appeal_id] else 0 for theme_id, _ in r.entries]
+        for r in rankings
+        if r.appeal_id in gold
+    ]
+    if not flags:
+        with pytest.raises(ValueError, match="no evaluable"):
+            evaluate_run(rankings, gold, k)
+        return
+    report = evaluate_run(rankings, gold, k)
+    count = len(flags)
+    assert (report.query_count, report.skipped) == (count, len(rankings) - count)
+    brute = {
+        "recall_at_k": sum(recall_brute(f, k, 1) for f in flags) / count,
+        "precision_at_k": sum(precision_brute(f, k) for f in flags) / count,
+        "map_at_k": sum(average_precision_brute(f, k, 1) for f in flags) / count,
+        "ndcg_at_k": sum(ndcg_brute(f, k, 1) for f in flags) / count,
+    }
+    for name, expected in brute.items():
+        assert abs(getattr(report, name) - expected) <= 1e-12, name
 
 
 class TestProperties:
@@ -126,57 +158,38 @@ class TestProperties:
         rng = random.Random(71)
         for _ in range(300):
             k = rng.randint(1, 10)
-            length = rng.randint(1, k)
-            ranked = tuple(f"t{i}" for i in range(length))
-            if rng.random() < 0.8:
-                relevant = frozenset({rng.choice(ranked)})
-            else:
-                relevant = frozenset({"absent"})
-            judgment = Judgment(ranked, relevant)
-            recall = recall_at_k(judgment, k)
-            ap = average_precision(judgment, k)
-            ndcg = ndcg_at_k(judgment, k)
-            precision = precision_at_k(judgment, k)
-            for value in (recall, ap, ndcg, precision):
+            ranked = [f"t{i}" for i in range(rng.randint(1, k))]
+            label = rng.choice(ranked) if rng.random() < 0.8 else "absent"
+            report = evaluate_run([ranking(ranked)], {"A1": label}, k)
+            values = (report.recall_at_k, report.map_at_k, report.ndcg_at_k, report.precision_at_k)
+            for value in values:
                 assert 0.0 <= value <= 1.0
-            assert recall in (0.0, 1.0)
+            assert report.recall_at_k in (0.0, 1.0)
             # precision*k counts the hits, hence an integer
-            assert abs(precision * k - round(precision * k)) < 1e-12
-            if recall == 1.0:
-                hit_rank = ranked.index(next(iter(relevant))) + 1
-                assert ap == pytest.approx(1 / hit_rank)
-                assert ndcg == pytest.approx(1 / math.log2(hit_rank + 1))
+            assert abs(report.precision_at_k * k - round(report.precision_at_k * k)) < 1e-12
+            if report.recall_at_k == 1.0:
+                hit_rank = ranked.index(label) + 1
+                assert report.map_at_k == pytest.approx(1 / hit_rank)
+                assert report.ndcg_at_k == pytest.approx(1 / math.log2(hit_rank + 1))
             else:
-                assert ap == 0.0 and ndcg == 0.0
+                assert report.map_at_k == 0.0 and report.ndcg_at_k == 0.0
 
     def test_invariant_under_relabeling(self):
-        judgment = Judgment(("x", "y", "z"), frozenset({"y"}))
-        relabeled = Judgment(("10", "20", "30"), frozenset({"20"}))
         for k in (1, 2, 3):
-            assert recall_at_k(judgment, k) == recall_at_k(relabeled, k)
-            assert average_precision(judgment, k) == average_precision(relabeled, k)
-            assert ndcg_at_k(judgment, k) == ndcg_at_k(relabeled, k)
+            report = evaluate_run([ranking(["x", "y", "z"])], {"A1": "y"}, k)
+            relabeled = evaluate_run([ranking(["10", "20", "30"], "B7")], {"B7": "20"}, k)
+            assert report == relabeled
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(73)
         for _ in range(500):
-            k = rng.randint(1, 10)
-            length = rng.randint(1, 10)
-            ranked = tuple(f"t{i}" for i in range(length))
-            hit = rng.random() < 0.7
-            relevant = frozenset({rng.choice(ranked)}) if hit else frozenset({"absent"})
-            judgment = Judgment(ranked, relevant)
-            flags = [1 if r in relevant else 0 for r in ranked]
-            total = len(relevant)
-            assert abs(recall_at_k(judgment, k) - recall_brute(flags, k, total)) < 1e-12
-            assert abs(precision_at_k(judgment, k) - precision_brute(flags, k)) < 1e-12
-            assert abs(average_precision(judgment, k) - average_precision_brute(flags, k, total)) < 1e-12
-            assert abs(ndcg_at_k(judgment, k) - ndcg_brute(flags, k, total)) < 1e-12
+            rankings, gold, k = random_batch(rng, rng.randint(1, 8))
+            assert_matches_oracles(rankings, gold, k)
 
 
 class TestEvaluateRun:
     def _ranking(self, appeal_id, theme_ids):
-        return RankedThemeList(appeal_id, tuple((t, 1.0) for t in theme_ids))
+        return ranking(theme_ids, appeal_id)
 
     def test_single_perfect_query(self):
         rankings = [self._ranking("A1", ["T1", "T2", "T3"])]

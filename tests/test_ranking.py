@@ -502,6 +502,35 @@ class TestClassifyGrid:
     def test_no_configs_no_outcomes(self):
         assert classify_grid([AppealRecord("A1", "texto")], SEVEN_THEMES, []) == []
 
+    def test_representation_without_tokens_fails_under_every_method(self):
+        # "P" keeps text but no token; "S"'s size-1 summary is its token-less "—."
+        appeals = [AppealRecord("P", "... !!! ??? --- ;;;"), AppealRecord("S", "—. Alfa beta. Gama delta.")]
+        configs = [
+            replace(
+                PLAIN_CONFIG,
+                preprocess=PreprocessConfig(remove_terms=remove_terms),
+                representation=representation,
+                summary=SummaryConfig(size=1),
+                similarity_method=method,
+            )
+            # summaries first: their analysis is what the fulltext cells then score from
+            for remove_terms in (True, False)
+            for representation in ("guided_lexrank", "lexrank", "fulltext")
+            for method in SIMILARITY_METHODS
+        ]
+        for config, outcome in zip(configs, classify_grid(appeals, SEVEN_THEMES, configs)):
+            failed = [message.split(":")[0] for message in outcome.failures]
+            if config.representation == "fulltext":
+                assert failed == ["P"] and outcome.results[0].appeal_id == "S"
+                assert outcome.failures == ["P: no tokens left for vectorization"]
+            else:
+                assert failed == ["P", "S"] and outcome.results == []
+                assert outcome.failures[1] == "S: no tokens left for vectorization"
+            # fulltext alone tokenizes the cleaned text: no analysis holds sentences
+            alone = replace(config, representation="fulltext")
+            with pytest.raises(PipelineError, match="no tokens left"):
+                classify_appeal(appeals[0], SEVEN_THEMES, alone)
+
 
 class TestRankingsFile:
     def test_round_trip_and_flags(self, tmp_path):
