@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import corpus as corpusmod
-from .config import ConfigError, GridCell, build_grid, build_pipeline, cell_config
+from .config import ConfigError, build_grid, build_pipeline, cell_config, descriptor, report_fields
 from .metrics import MetricReport, evaluate_run
 from .ranking import (
     REPRESENTATIONS,
@@ -127,18 +127,14 @@ def _merged_config(args) -> dict:
 
 
 def _load_appeals(args, merged: dict):
-    """The appeals file's records; a file with no appeal to classify is an error."""
     columns = merged["appeal_columns"]
-    appeals = corpusmod.load_appeals(
+    return corpusmod.load_appeals(
         args.appeals,
         delimiter=merged["delimiter"],
         id_col=columns["id"],
         text_col=columns["text"],
         theme_col=columns["theme"],
     )
-    if not appeals:
-        raise corpusmod.CorpusError(f"{args.appeals}: no appeal rows after the header")
-    return appeals
 
 
 def _load_themes(args, merged: dict):
@@ -245,7 +241,7 @@ def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     results, failures = classify_corpus(appeals, catalog, pipeline, parallel=args.parallel)
     gold = corpusmod.gold_labels(appeals, catalog)
-    label = {"config": GridCell.of(pipeline).descriptor}
+    label = {"config": descriptor(pipeline)}
     report, document = _report(results, failures, gold, pipeline.k, label, outdir)
     elapsed = time.perf_counter() - started
     print(
@@ -259,28 +255,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _slug(descriptor: str) -> str:
-    return "".join(c if c.isalnum() else "_" for c in descriptor)
+def _slug(name: str) -> str:
+    return "".join(c if c.isalnum() else "_" for c in name)
 
 
-def _run_cell(cell: GridCell, outcome: CorpusOutcome, gold: dict, k: int, outdir: Path | None):
+def _run_cell(config: PipelineConfig, outcome: CorpusOutcome, gold: dict, outdir: Path | None):
     """Score and write one classified grid cell; a cell that cannot be scored
     is reported and the grid goes on. Its seconds are its classification
     time plus this step. Returns (report or None, failures, seconds)."""
     started = time.perf_counter()
-    label = {"cell": cell.descriptor}
+    name = descriptor(config)
     report = error = None
     try:
         report, _ = _report(
-            outcome.results, outcome.failures, gold, k, label, outdir, f"_{_slug(cell.descriptor)}"
+            outcome.results, outcome.failures, gold, config.k, {"cell": name}, outdir, f"_{_slug(name)}"
         )
     except ValueError as exc:
         error = exc
     seconds = outcome.seconds + time.perf_counter() - started
     if error is not None:
-        print(f"cell {cell.descriptor}: FAILED after {seconds:.1f}s: {error}", file=sys.stderr)
+        print(f"cell {name}: FAILED after {seconds:.1f}s: {error}", file=sys.stderr)
     else:
-        print(f"cell {cell.descriptor}: done in {seconds:.1f}s", file=sys.stderr)
+        print(f"cell {name}: done in {seconds:.1f}s", file=sys.stderr)
     return report, len(outcome.failures), seconds
 
 
@@ -312,23 +308,24 @@ def _csv_text(rows) -> str:
 def cmd_grid(args) -> int:
     merged = _merged_config(args)
     base = build_pipeline(merged)
-    cells = list(build_grid(merged).cells())
-    configs = [cell_config(base, cell) for cell in cells]  # a bad cell value fails here
+    # a bad cell value fails here
+    configs = [cell_config(base, cell) for cell in build_grid(merged).cells()]
     outdir = _outdir(args)
     catalog = _load_themes(args, merged)
     appeals = _load_appeals(args, merged)
 
-    print(f"grid: {len(cells)} cells over {len(appeals)} appeals", file=sys.stderr)
+    print(f"grid: {len(configs)} cells over {len(appeals)} appeals", file=sys.stderr)
     outcomes = classify_grid(appeals, catalog, configs, args.parallel)
     gold = corpusmod.gold_labels(appeals, catalog)
     summary, scatter = [GRID_SUMMARY_HEADER], [SCATTER_HEADER]
-    for cell, outcome in zip(cells, outcomes):
-        report, failures, seconds = _run_cell(cell, outcome, gold, base.k, outdir)
+    for config, outcome in zip(configs, outcomes):
+        report, failures, seconds = _run_cell(config, outcome, gold, outdir)
+        name = descriptor(config)
         metrics = [""] * 7  # a failed cell keeps its row with empty metric fields
         if report is not None:
-            metrics = [getattr(report, name) for name in GRID_SUMMARY_HEADER[5:12]]
-            scatter.append([cell.descriptor, *(getattr(report, name) for name in SCATTER_HEADER[1:])])
-        summary.append([cell.descriptor, *cell.fields(), *metrics, failures, f"{seconds:.3f}"])
+            metrics = [getattr(report, field) for field in GRID_SUMMARY_HEADER[5:12]]
+            scatter.append([name, *(getattr(report, field) for field in SCATTER_HEADER[1:])])
+        summary.append([name, *report_fields(config), *metrics, failures, f"{seconds:.3f}"])
 
     summary_text = _csv_text(summary)
     print(summary_text, end="")

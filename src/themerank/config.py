@@ -226,6 +226,23 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
     )
 
 
+def report_fields(pipeline: PipelineConfig) -> tuple[str, str, str, str]:
+    """Preprocess, representation, summary size (``na`` for fulltext) and
+    similarity: the fields that name a run in its reports."""
+    return (
+        "remove" if pipeline.preprocess.remove_terms else "keep",
+        pipeline.representation,
+        "na" if pipeline.representation == "fulltext" else str(pipeline.summary.size),
+        pipeline.similarity_method,
+    )
+
+
+def descriptor(pipeline: PipelineConfig) -> str:
+    """The run's name in reports, ``preprocess=…,representation=…,size=…,similarity=…``."""
+    keys = ("preprocess", "representation", "size", "similarity")
+    return ",".join(f"{key}={value}" for key, value in zip(keys, report_fields(pipeline)))
+
+
 def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
     """Materialize a validated PipelineConfig from a config merged over DEFAULT_CONFIG."""
     try:
@@ -250,34 +267,6 @@ class GridCell:
     representation: str
     summary_size: int | None
     similarity_method: str
-
-    @classmethod
-    def of(cls, pipeline: PipelineConfig) -> "GridCell":
-        """The cell a standalone pipeline config occupies."""
-        size = None if pipeline.representation == "fulltext" else pipeline.summary.size
-        return cls(
-            pipeline.preprocess.remove_terms,
-            pipeline.representation,
-            size,
-            pipeline.similarity_method,
-        )
-
-    def fields(self) -> tuple[str, str, str, str]:
-        """Preprocess, representation, size and similarity as report fields."""
-        return (
-            "remove" if self.remove_terms else "keep",
-            self.representation,
-            "na" if self.summary_size is None else str(self.summary_size),
-            self.similarity_method,
-        )
-
-    @property
-    def descriptor(self) -> str:
-        preprocess, representation, size, similarity = self.fields()
-        return (
-            f"preprocess={preprocess},representation={representation},"
-            f"size={size},similarity={similarity}"
-        )
 
 
 @dataclass(frozen=True)

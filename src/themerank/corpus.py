@@ -85,7 +85,8 @@ def _read_records(
     """(id, text, label) per non-blank data row of a delimited file with a header.
 
     A UTF-8 byte-order mark is skipped. Rows with too few fields, empty ids,
-    duplicate ids or blank text are errors reported with their row number.
+    duplicate ids or blank text are errors reported with their row number,
+    and so is a file with no data row.
     The label column is optional: absent from the header, every label is None.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
@@ -125,6 +126,8 @@ def _read_records(
             if label_idx is not None and label_idx < len(row):
                 label = row[label_idx].strip() or None
             records.append((doc_id, text, label))
+    if not records:
+        raise CorpusError(f"{path}: no rows after the header")
     return records
 
 

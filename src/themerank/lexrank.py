@@ -36,13 +36,12 @@ ROW_BLOCK = 256
 
 @dataclass(frozen=True)
 class SentenceGraph:
-    """Sentence similarity as the unit-norm tf-idf rows ``N``, with the edge
-    threshold. The weights are ``N Nᵀ`` clipped to [0, 1] with a unit
-    diagonal on the non-empty rows; ``blocks`` makes them a block of rows at
-    a time, and ``weights`` stacks those blocks on each read."""
+    """Sentence similarity as the unit-norm tf-idf rows ``N``. The weights
+    are ``N Nᵀ`` clipped to [0, 1] with a unit diagonal on the non-empty
+    rows; ``blocks`` makes them a block of rows at a time, and ``weights``
+    stacks those blocks on each read."""
 
     normalized: sparse.csr_matrix
-    threshold: float
 
     @property
     def n(self) -> int:
@@ -118,18 +117,9 @@ class SummaryConfig:
         )
 
 
-@dataclass(frozen=True)
-class Summary:
-    """Selected sentence indices (document order) and their selection order."""
-
-    indices: tuple[int, ...]
-    order: tuple[int, ...]
-
-
-def similarity_matrix(
-    sentences: Sequence[Sequence[str]], threshold: float, counts: sparse.csr_matrix | None = None
-) -> SentenceGraph:
-    """Idf-modified cosine similarity between every pair of token sequences.
+def similarity_matrix(counts: sparse.csr_matrix) -> SentenceGraph:
+    """Idf-modified cosine similarity between every pair of sentences, from
+    their ``term_counts`` matrix, one row per sentence.
 
     Entry (i, j) is ``sum_w tf(w,i)*tf(w,j)*idf(w)^2 / (|i| * |j|)`` with
     ``idf(w) = ln(n / df(w)) + 1`` computed over this document's own
@@ -138,12 +128,12 @@ def similarity_matrix(
     transpose, rows unsorted as the product leaves them; (i, j) and (j, i)
     add the same terms in the same order, so they are equal bit for bit.
     Only the normalized matrix is built here: see ``SentenceGraph``.
-    ``counts``, the sentences' ``term_counts`` matrix if given, is not changed.
+    ``counts`` is not changed.
     """
-    n = len(sentences)
+    n = counts.shape[0]
     if n < 1:
         raise ValueError("similarity_matrix requires at least one sentence")
-    matrix = term_counts(sentences)[1] if counts is None else counts.copy()
+    matrix = counts.copy()
     if matrix.shape[1] == 0:
         raise ValueError("all sentences are empty")
     dfs, df_of_term = np.unique(matrix.getnnz(axis=0), return_inverse=True)
@@ -152,7 +142,7 @@ def similarity_matrix(
 
     norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
     scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0)
-    return SentenceGraph(normalized=sparse.diags(scale) @ matrix, threshold=threshold)
+    return SentenceGraph(normalized=sparse.diags(scale) @ matrix)
 
 
 def _entry_rows(block: sparse.csr_matrix, first: int) -> np.ndarray:
@@ -162,12 +152,12 @@ def _entry_rows(block: sparse.csr_matrix, first: int) -> np.ndarray:
     return np.repeat(rows, np.diff(block.indptr))
 
 
-def degree_centrality(graph: SentenceGraph) -> np.ndarray:
-    """Fraction of other sentences whose similarity clears the threshold,
+def degree_centrality(graph: SentenceGraph, threshold: float) -> np.ndarray:
+    """Fraction of other sentences whose similarity clears ``threshold``,
     counted one block of rows at a time."""
     n = graph.n
     denom = max(n - 1, 1)
-    if graph.threshold <= 0.0:
+    if threshold <= 0.0:
         # every pair satisfies weight >= 0, so all sentences reach full degree
         return np.full(n, (n - 1) / denom, dtype=float)
 
@@ -175,7 +165,7 @@ def degree_centrality(graph: SentenceGraph) -> np.ndarray:
     for start, block in graph.blocks():
         # each block is made for this loop alone: its weights become 1.0 where
         # an edge to another sentence clears the threshold, else 0.0
-        block.data[:] = block.data >= graph.threshold
+        block.data[:] = block.data >= threshold
         block.data[block.indices == _entry_rows(block, start)] = 0.0
         degrees[start : start + block.shape[0]] = block.sum(axis=1).A1
         del block  # the next block is made without this one alive
@@ -220,7 +210,7 @@ def continuous_centrality(graph: SentenceGraph, config: SummaryConfig) -> np.nda
 def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
     if config.centrality == "continuous":
         return continuous_centrality(graph, config)
-    return degree_centrality(graph)
+    return degree_centrality(graph, config.threshold)
 
 
 def guidance_scores(
@@ -244,10 +234,6 @@ def combined_scores(
     gamma: np.ndarray, sigma: np.ndarray, alpha: float, beta: float
 ) -> np.ndarray:
     """Weighted blend of max-normalized centrality and guidance scores."""
-    if len(gamma) != len(sigma):
-        raise ValueError(
-            f"length mismatch: {len(gamma)} centrality vs {len(sigma)} guidance scores"
-        )
     if alpha + beta <= 0:
         raise ValueError("alpha + beta must be > 0")
     return alpha * _max_normalize(gamma) + beta * _max_normalize(sigma)
@@ -274,7 +260,7 @@ class SentenceAnalysis:
     def gamma(self, config: SummaryConfig) -> np.ndarray:
         key = config.graph_settings
         if key not in self._gamma:
-            graph = similarity_matrix(self.tokens, config.threshold, self.counts)
+            graph = similarity_matrix(self.counts)
             self._gamma[key] = centrality(graph, config)
         return self._gamma[key]
 
@@ -302,13 +288,12 @@ def summarize(
     analysis: SentenceAnalysis,
     config: SummaryConfig,
     theme_index: Bm25Index | None = None,
-) -> Summary:
-    """The summary of ``config``'s size, drawn from an analysed document, its
-    sentences in document order. It is guided exactly when ``theme_index``
+) -> tuple[int, ...]:
+    """The rows of the summary of ``config``'s size, drawn from an analysed
+    document, in selection order. It is guided exactly when ``theme_index``
     is given: then ``config``'s weights blend centrality with guidance."""
     scores = analysis.gamma(config)
     if theme_index is not None:
         scores = combined_scores(scores, analysis.sigma(theme_index), config.alpha, config.beta)
 
-    order = select_top(scores, config.size)
-    return Summary(indices=tuple(sorted(order)), order=tuple(order))
+    return tuple(select_top(scores, config.size))

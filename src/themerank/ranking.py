@@ -159,12 +159,12 @@ def _scores(
             rows = range(len(sentences.tokens))
         else:
             theme_index = prepared.index if config.representation == "guided_lexrank" else None
-            rows = summarize(sentences, config.summary, theme_index).indices
+            rows = summarize(sentences, config.summary, theme_index)
         if config.similarity_method == "bm25" and any(sentences.tokens[i] for i in rows):
             return sentences.bm25_scores(prepared.index, rows)
         # segmentation cuts only at whitespace runs and tokenize splits there,
-        # so these are the tokens of the sentences' text joined
-        tokens = [token for i in rows for token in sentences.tokens[i]]
+        # so these are the tokens of the sentences' text joined in document order
+        tokens = [token for i in sorted(rows) for token in sentences.tokens[i]]
     if not tokens:
         raise PipelineError("no tokens left for vectorization")
     return prepared.tfidf.scores(tokens)
@@ -179,7 +179,8 @@ def classify_appeal(
 ) -> RankedThemeList:
     """Rank every theme for one appeal and truncate to the top k.
 
-    Scores sort descending with ties broken by ascending theme id. ``memo``
+    Scores sort descending with ties broken by ascending theme id; scores of
+    0 against every theme would rank the first k ids, so they fail. ``memo``
     serves one appeal and holds its analysis under the last preprocess
     config asked for: consecutive calls for configs that share a preprocess
     config analyse the appeal once, and a memo never holds two analyses.
@@ -192,6 +193,8 @@ def classify_appeal(
         memo.clear()
         analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
     scores = _scores(appeal, analysis, config, prepared)
+    if not scores.any():
+        raise PipelineError("scores 0 against every theme")
     top = prepared.by_id[select_top(scores[prepared.by_id], config.k)]
     entries = tuple((prepared.index.doc_ids[i], float(scores[i])) for i in top)
     return RankedThemeList(appeal_id=appeal.id, entries=entries)

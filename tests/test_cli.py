@@ -34,13 +34,31 @@ class TestClassify:
             capsys,
             "classify",
             "--text",
-            "um texto qualquer para classificar",
+            "um exemplo qualquer para classificar",
             "--themes",
             str(themes),
         )
         assert code == 0
         ranked_rows = [l for l in out.splitlines() if l.strip().startswith(tuple("123456789"))]
         assert len(ranked_rows) == 6
+
+    @pytest.mark.parametrize("method", ["bm25", "cosine"])
+    def test_text_sharing_no_term_with_the_catalog_fails(self, capsys, tmp_path, method):
+        themes = tmp_path / "themes.csv"
+        themes.write_text(
+            "id,text\nT1,prescrição intercorrente execução fiscal\n"
+            "T2,honorários advocatícios sucumbência\n",
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(
+            capsys, "classify", "--text", "Alfa beta gama.", "--themes", str(themes),
+            "--similarity", method,
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "failure: inline: scores 0 against every theme",
+            "error: no appeal ranked (1 failed)",
+        ]
 
     def test_k_one_single_row(self, capsys, tiny_appeals_file, tiny_themes_file):
         code, out, _ = run_cli(
@@ -201,7 +219,8 @@ class TestEvaluate:
     def test_all_labels_unresolvable_is_error(self, capsys, tmp_path, tiny_themes_file):
         appeals = tmp_path / "appeals.csv"
         appeals.write_text(
-            "id,text,theme\nA1,algum texto valido,T404\nA2,outro texto valido,T405\n",
+            "id,text,theme\nA1,algum texto sobre execução fiscal,T404\n"
+            "A2,outro texto sobre servidor público,T405\n",
             encoding="utf-8",
         )
         code, _, err = run_cli(capsys, *self.evaluate_args(appeals, tiny_themes_file))
@@ -1018,16 +1037,25 @@ class TestOneLineErrors:
         return err
 
     @pytest.mark.parametrize("command", ["classify", "evaluate", "grid"])
-    def test_header_only_appeals_file(self, capsys, tiny_themes_file, tmp_path, monkeypatch, command):
-        appeals = tmp_path / "header.csv"
+    def test_header_only_appeals_file(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, monkeypatch, command
+    ):
+        # and a header-only theme file: grid names its cells only once both loaded
+        appeals = tmp_path / "appeals_header.csv"
         appeals.write_text("id,text,theme\n", encoding="utf-8")
+        themes = tmp_path / "themes_header.csv"
+        themes.write_text("id,text\n", encoding="utf-8")
         for name in ("classify_corpus", "classify_grid"):
             monkeypatch.setattr(cli, name, lambda *_, **__: pytest.fail("classified"))
-        code, out, err = run_cli(
-            capsys, command, "--appeals", str(appeals), "--themes", str(tiny_themes_file)
-        )
-        assert (code, out) == (1, "")
-        assert err == f"error: {appeals}: no appeal rows after the header\n"
+        for appeals_file, themes_file, empty in (
+            (appeals, tiny_themes_file, appeals),
+            (tiny_appeals_file, themes, themes),
+        ):
+            code, out, err = run_cli(
+                capsys, command, "--appeals", str(appeals_file), "--themes", str(themes_file)
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: {empty}: no rows after the header\n"
 
     def test_config_is_a_directory(self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path):
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(tmp_path))
@@ -1210,5 +1238,6 @@ class TestStats:
     def test_header_only_is_error(self, capsys, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("id,text\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "stats", "--input", str(path))
-        assert code == 1
+        code, out, err = run_cli(capsys, "stats", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: no rows after the header\n"

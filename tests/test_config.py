@@ -18,7 +18,9 @@ from themerank.config import (
     build_pipeline,
     build_preprocess,
     cell_config,
+    descriptor,
     load_run_config,
+    report_fields,
 )
 from themerank.corpus import AppealRecord
 from themerank.lexrank import SummaryConfig
@@ -291,7 +293,8 @@ class TestGrid:
             summary_sizes=(5, 10),
             similarity_methods=("bm25",),
         )
-        descriptors = [cell.descriptor for cell in grid.cells()]
+        base = build_pipeline(load_run_config(None))
+        descriptors = [descriptor(cell_config(base, cell)) for cell in grid.cells()]
         assert descriptors == [
             "preprocess=remove,representation=lexrank,size=5,similarity=bm25",
             "preprocess=remove,representation=lexrank,size=10,similarity=bm25",
@@ -370,3 +373,4 @@ class TestGrid:
         base = build_pipeline(load_run_config(None))
         cell = GridCell(True, "fulltext", None, "bm25")
         assert cell_config(base, cell).summary.size == base.summary.size
+        assert report_fields(cell_config(base, cell)) == ("remove", "fulltext", "na", "bm25")

@@ -177,6 +177,10 @@ class TestRoundTripProperty:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "a.csv"
             write_appeals(path, records, delimiter=delimiter)
+            if not records:
+                with pytest.raises(CorpusError, match="no rows after the header"):
+                    load_appeals(path, delimiter=delimiter)
+                return
             assert load_appeals(path, delimiter=delimiter) == records
 
     @given(st.lists(st.builds(ThemeRecord, _ID, _TEXT), max_size=8).filter(_unique_ids), _DELIMITERS)
@@ -185,6 +189,10 @@ class TestRoundTripProperty:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "t.csv"
             write_themes(path, themes, delimiter=delimiter)
+            if not themes:
+                with pytest.raises(CorpusError, match="no rows after the header"):
+                    load_themes(path, delimiter=delimiter)
+                return
             assert list(load_themes(path, delimiter=delimiter)) == themes
 
 

@@ -29,6 +29,19 @@ HEADLINE_STAGES = (
     ("themerank.lexrank", "guidance_scores"),
 )
 
+HEADLINE_CATALOG = ThemeCatalog(
+    [
+        ThemeRecord("T1", "prescrição intercorrente execução fiscal"),
+        ThemeRecord("T2", "honorários advocatícios sucumbência recursal"),
+    ]
+)
+HEADLINE_APPEAL = AppealRecord(
+    "A1",
+    "A execução fiscal ficou parada por anos. "
+    "Discute-se a prescrição intercorrente da execução. "
+    "Os honorários advocatícios seguem a sucumbência.",
+)
+
 
 @pytest.fixture
 def bindings(monkeypatch):
@@ -66,17 +79,29 @@ def test_headline_cell_calls_through_its_traced_bindings(bindings, monkeypatch):
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, counted((module_name, attr), getattr(module, attr)))
 
-    catalog = ThemeCatalog(
-        [
-            ThemeRecord("T1", "prescrição intercorrente execução fiscal"),
-            ThemeRecord("T2", "honorários advocatícios sucumbência recursal"),
-        ]
-    )
-    appeal = AppealRecord(
-        "A1",
-        "A execução fiscal ficou parada por anos. "
-        "Discute-se a prescrição intercorrente da execução. "
-        "Os honorários advocatícios seguem a sucumbência.",
-    )
-    assert classify_appeal(appeal, catalog, PipelineConfig()).entries
+    assert classify_appeal(HEADLINE_APPEAL, HEADLINE_CATALOG, PipelineConfig()).entries
     assert {f"{m}.{a}": n for (m, a), n in calls.items() if n == 0} == {}
+
+
+def test_headline_counters_read_non_zero(bindings, monkeypatch):
+    # the tracer drops a counter's errors, so a counter that no longer fits
+    # its binding's arguments or result reads 0 in a traced run; here it raises
+    counts = {}
+
+    def counting(fn, counter):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            for name, value in counter(args, result).items():
+                counts[name] = counts.get(name, 0) + value
+            return result
+
+        return wrapper
+
+    for module_name, attr, _, counter in bindings:
+        if counter is not None and (module_name, attr) in HEADLINE_STAGES:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, counting(getattr(module, attr), counter))
+
+    assert classify_appeal(HEADLINE_APPEAL, HEADLINE_CATALOG, PipelineConfig()).entries
+    assert set(counts) == {"chars_in", "chars_out", "sentences", "nnz", "queries"}
+    assert {name: value for name, value in counts.items() if not value > 0} == {}

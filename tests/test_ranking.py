@@ -63,17 +63,29 @@ class TestClassifyAppeal:
 
     def test_singleton_catalog_always_rank_one(self):
         catalog = catalog_of(("T1", "qualquer tema"))
-        appeal = AppealRecord("A1", "Texto sem relação alguma com nada.")
+        appeal = AppealRecord("A1", "Texto sem relação alguma com o tema.")
         for representation in ("fulltext", "lexrank", "guided_lexrank"):
             config = replace(PLAIN_CONFIG, representation=representation)
             ranked = classify_appeal(appeal, catalog, config)
             assert tuple(t for t, _ in ranked.entries) == ("T1",)
 
-    def test_all_zero_scores_ascending_theme_id(self):
+    def test_equal_scores_ascending_theme_id(self):
+        catalog = catalog_of(
+            ("T5", "tema alfa"),
+            ("T3", "tema beta"),
+            ("T1", "gama delta"),
+            ("T4", "eta teta"),
+            ("T2", "zeta iota"),
+        )
+        ranked = classify_appeal(AppealRecord("A1", "Tema."), catalog, PLAIN_CONFIG)
+        assert tuple(t for t, _ in ranked.entries) == ("T3", "T5", "T1", "T2", "T4")
+        scores = [score for _, score in ranked.entries]
+        assert scores[0] == scores[1] > 0.0 and scores[2:] == [0.0, 0.0, 0.0]
+
+    def test_all_zero_scores_fail(self):
         appeal = AppealRecord("A1", "Palavras totalmente desconhecidas xptoum xptodois.")
-        ranked = classify_appeal(appeal, SEVEN_THEMES, PLAIN_CONFIG)
-        assert tuple(t for t, _ in ranked.entries) == ("T1", "T2", "T3", "T4", "T5", "T6", "T7")[:6]
-        assert all(score == 0.0 for _, score in ranked.entries)
+        with pytest.raises(PipelineError, match="scores 0 against every theme"):
+            classify_appeal(appeal, SEVEN_THEMES, PLAIN_CONFIG)
 
     def test_scores_non_increasing_and_ids_in_catalog(self):
         appeal = AppealRecord(
@@ -86,7 +98,7 @@ class TestClassifyAppeal:
         assert all(theme_id in SEVEN_THEMES for theme_id, _ in ranked.entries)
 
     def test_k_truncates(self):
-        appeal = AppealRecord("A1", "Qualquer texto aqui serve.")
+        appeal = AppealRecord("A1", "Qualquer texto sobre execução fiscal serve.")
         ranked = classify_appeal(appeal, SEVEN_THEMES, replace(PLAIN_CONFIG, k=2))
         assert len(ranked.entries) == 2
 
@@ -146,7 +158,7 @@ class TestClassifyAppeal:
             return summarize(*args, **kwargs)
 
         monkeypatch.setattr(ranking, "summarize", counted)
-        appeal = AppealRecord("A1", "Primeira frase do recurso. Segunda frase do recurso.")
+        appeal = AppealRecord("A1", "Primeira frase sobre execução fiscal. Segunda frase do recurso.")
         for representation, expected in (("lexrank", 1), ("guided_lexrank", 1), ("fulltext", 0)):
             calls.clear()
             classify_appeal(appeal, SEVEN_THEMES, replace(PLAIN_CONFIG, representation=representation))
@@ -200,7 +212,7 @@ class TestCosinePath:
             raise AssertionError("an embedding-file cell selected a summary")
 
         monkeypatch.setattr(ranking, "summarize", no_summary)
-        appeal = AppealRecord("A1", "Primeira frase do recurso. Segunda frase do recurso.")
+        appeal = AppealRecord("A1", "Primeira frase sobre execução fiscal. Segunda frase do recurso.")
         for representation in REPRESENTATIONS:
             config = replace(
                 PLAIN_CONFIG,
@@ -386,13 +398,38 @@ class TestSummaryTokens:
         theme_index = prepared.index if representation == "guided_lexrank" else None
         summary = summarize(analysis.sentences, config.summary, theme_index)
         texts = segment_sentences(analysis.cleaned, analysis.abbreviations)
-        tokens = tokenize(" ".join(texts[i] for i in summary.indices))
+        tokens = tokenize(" ".join(texts[i] for i in sorted(summary)))
         if not tokens:
             with pytest.raises(PipelineError, match="no tokens"):
                 ranking._scores(appeal, analysis, config, prepared)
             return
         scores = ranking._scores(appeal, analysis, config, prepared)
         assert scores.tobytes() == prepared.tfidf.scores(tokens).tobytes()
+
+    def test_rows_joined_in_document_order(self):
+        # the summary's selection order is not document order, and the query
+        # norm sums its terms in first-occurrence order: the join order shows
+        appeal = AppealRecord(
+            "A1",
+            "Beta alfa alfa intercorrente honorários. Dano. "
+            "Dano trânsito sucumbência alfa. Intercorrente dano.",
+        )
+        config = replace(
+            PLAIN_CONFIG,
+            representation="guided_lexrank",
+            summary=SummaryConfig(size=3),
+            similarity_method="cosine",
+        )
+        analysis = ranking.AppealAnalysis(appeal, config.preprocess)
+        prepared = prepare_themes(SEVEN_THEMES, config)
+        rows = summarize(analysis.sentences, config.summary, prepared.index)
+        assert rows == (2, 3, 0)
+        joined = tokenize(
+            "Beta alfa alfa intercorrente honorários. "
+            "Dano trânsito sucumbência alfa. Intercorrente dano."
+        )
+        scores = ranking._scores(appeal, analysis, config, prepared)
+        assert scores.tobytes() == prepared.tfidf.scores(joined).tobytes()
 
 
 # every str.isspace character (none lies above U+3000), sentence terminals,
@@ -503,7 +540,8 @@ class TestClassifyGrid:
         assert classify_grid([AppealRecord("A1", "texto")], SEVEN_THEMES, []) == []
 
     def test_representation_without_tokens_fails_under_every_method(self):
-        # "P" keeps text but no token; "S"'s size-1 summary is its token-less "—."
+        # "P" keeps text but no token; "S"'s size-1 summary is its token-less "—.",
+        # and its full text shares no term with the catalog
         appeals = [AppealRecord("P", "... !!! ??? --- ;;;"), AppealRecord("S", "—. Alfa beta. Gama delta.")]
         configs = [
             replace(
@@ -521,8 +559,11 @@ class TestClassifyGrid:
         for config, outcome in zip(configs, classify_grid(appeals, SEVEN_THEMES, configs)):
             failed = [message.split(":")[0] for message in outcome.failures]
             if config.representation == "fulltext":
-                assert failed == ["P"] and outcome.results[0].appeal_id == "S"
-                assert outcome.failures == ["P: no tokens left for vectorization"]
+                assert outcome.results == []
+                assert outcome.failures == [
+                    "P: no tokens left for vectorization",
+                    "S: scores 0 against every theme",
+                ]
             else:
                 assert failed == ["P", "S"] and outcome.results == []
                 assert outcome.failures[1] == "S: no tokens left for vectorization"
@@ -530,6 +571,27 @@ class TestClassifyGrid:
             alone = replace(config, representation="fulltext")
             with pytest.raises(PipelineError, match="no tokens left"):
                 classify_appeal(appeals[0], SEVEN_THEMES, alone)
+
+
+    def test_no_term_shared_with_the_catalog_fails_in_every_cell(self):
+        appeals = [AppealRecord("Z", "Alfa beta gama."), AppealRecord("A", "Alfa execução fiscal.")]
+        configs = [
+            replace(
+                PLAIN_CONFIG,
+                preprocess=PreprocessConfig(remove_terms=remove_terms),
+                representation=representation,
+                similarity_method=method,
+            )
+            for remove_terms in (True, False)
+            for representation in REPRESENTATIONS
+            for method in SIMILARITY_METHODS
+        ]
+        outcomes = classify_grid(appeals, SEVEN_THEMES, configs)
+        assert len(outcomes) == 12
+        for outcome in outcomes:
+            assert outcome.failures == ["Z: scores 0 against every theme"]
+            assert [result.appeal_id for result in outcome.results] == ["A"]
+            assert outcome.results[0].entries[0][0] == "T1"
 
 
 class TestRankingsFile:
