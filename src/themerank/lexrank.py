@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -28,9 +29,9 @@ CENTRALITY_VARIANTS = ("degree", "continuous")
 
 
 # rows of the sentence graph made at a time: the degree path holds one block,
-# never the n × n graph. Memory grows with the block (7.7 MB at 256 rows,
-# 27.7 MB at 1,024 on a 2,028-sentence appeal) and time does not fall with
-# it; most appeals have fewer than 256 sentences and take one block.
+# never the n × n graph. On a 2,019-sentence appeal its peak, building N
+# included, is 5.5 MB at 256 rows and 3.5 MB at 128, but 128 rows split many
+# body-sized appeals in two (cell-guided degree 0.88 against 0.71 ms per appeal).
 ROW_BLOCK = 256
 
 
@@ -38,8 +39,8 @@ ROW_BLOCK = 256
 class SentenceGraph:
     """Sentence similarity as the unit-norm tf-idf rows ``N``. The weights
     are ``N Nᵀ`` clipped to [0, 1] with a unit diagonal on the non-empty
-    rows; ``blocks`` makes them a block of rows at a time, and ``weights``
-    stacks those blocks on each read."""
+    rows; ``blocks`` makes the product's upper triangle a block of rows at
+    a time, and ``weights`` makes the whole graph on each read."""
 
     normalized: sparse.csr_matrix
 
@@ -48,27 +49,26 @@ class SentenceGraph:
         return self.normalized.shape[0]
 
     def blocks(self) -> Iterator[tuple[int, sparse.csr_matrix]]:
-        """Each block of up to ``ROW_BLOCK`` rows of the weights, as (first
-        row, CSR block): a new matrix each time, the caller's to change. A
-        block's rows are the full product's rows bit for bit, stored in the
-        order the product leaves them."""
-        transposed = self.normalized.T.tocsr()
+        """Each block of up to ``ROW_BLOCK`` rows of ``N Nᵀ`` against the
+        columns from its first row on, as (first row, CSR block whose column
+        0 is that row): a new matrix each time, the caller's to change. Its
+        entries are the full product's bit for bit, unclipped, stored in the
+        order the product leaves them; a graph of one block is the product."""
         for start in range(0, self.n, ROW_BLOCK):
-            # made in a call, so this frame holds no block while the next is made
-            yield start, self._block(start, transposed)
-
-    def _block(self, start: int, transposed: sparse.csr_matrix) -> sparse.csr_matrix:
-        rows = self.normalized if self.n <= ROW_BLOCK else self.normalized[start : start + ROW_BLOCK]
-        block = rows @ transposed
-        # every non-empty row stores its diagonal: its squares sum to ~1, never 0
-        np.clip(block.data, 0.0, 1.0, out=block.data)
-        block.data[block.indices == _entry_rows(block, start)] = 1.0
-        return block
+            below = self.normalized[start:] if start else self.normalized
+            rows = below if below.shape[0] <= ROW_BLOCK else below[:ROW_BLOCK]
+            # made in the yield, so this frame holds no block while the next is made
+            yield start, rows @ below.T
 
     @property
     def weights(self) -> sparse.csr_matrix:
-        """The whole n × n graph: a new matrix on each read, the caller's to change."""
-        return sparse.vstack([block for _, block in self.blocks()], format="csr")
+        """The whole n × n graph, new on each read; the centralities never make it."""
+        weights = self.normalized @ self.normalized.T
+        np.clip(weights.data, 0.0, 1.0, out=weights.data)
+        # every non-empty row stores its diagonal: its squares sum to ~1, never 0
+        rows = np.repeat(np.arange(self.n, dtype=weights.indices.dtype), np.diff(weights.indptr))
+        weights.data[weights.indices == rows] = 1.0
+        return weights
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,10 @@ class SummaryConfig:
 
     @property
     def graph_settings(self) -> tuple:
-        """The knobs centrality depends on: summaries that agree here share γ."""
-        return (
-            self.centrality,
-            self.threshold,
-            self.damping,
-            self.tolerance,
-            self.max_iterations,
-        )
+        """The knobs its centrality reads: summaries that agree here share γ."""
+        if self.centrality == "degree":
+            return (self.centrality, self.threshold)
+        return (self.centrality, self.damping, self.tolerance, self.max_iterations)
 
 
 def similarity_matrix(counts: sparse.csr_matrix) -> SentenceGraph:
@@ -145,29 +141,27 @@ def similarity_matrix(counts: sparse.csr_matrix) -> SentenceGraph:
     return SentenceGraph(normalized=sparse.diags(scale) @ matrix)
 
 
-def _entry_rows(block: sparse.csr_matrix, first: int) -> np.ndarray:
-    """The row of each stored entry of a CSR block whose rows start at row
-    ``first``, in storage order."""
-    rows = np.arange(first, first + block.shape[0], dtype=block.indices.dtype)
-    return np.repeat(rows, np.diff(block.indptr))
-
-
 def degree_centrality(graph: SentenceGraph, threshold: float) -> np.ndarray:
     """Fraction of other sentences whose similarity clears ``threshold``,
-    counted one block of rows at a time."""
+    counted from the upper-triangle blocks, so each pair is read once."""
     n = graph.n
     denom = max(n - 1, 1)
     if threshold <= 0.0:
         # every pair satisfies weight >= 0, so all sentences reach full degree
         return np.full(n, (n - 1) / denom, dtype=float)
 
-    degrees = np.empty(n)
+    degrees = np.zeros(n)
     for start, block in graph.blocks():
-        # each block is made for this loop alone: its weights become 1.0 where
-        # an edge to another sentence clears the threshold, else 0.0
+        # each block is made for this loop alone: its entries become 1.0 where
+        # they clear the threshold, else 0.0. The diagonal is taken off by
+        # position, as a stored one may round below the threshold
+        rows = block.shape[0]
         block.data[:] = block.data >= threshold
-        block.data[block.indices == _entry_rows(block, start)] = 0.0
-        degrees[start : start + block.shape[0]] = block.sum(axis=1).A1
+        degrees[start : start + rows] += block.sum(axis=1).A1 - block.diagonal()
+        if block.shape[1] > rows:
+            # right of the block's diagonal square, (i, j) is also j's edge:
+            # the blocks of j's rows start past i, so never read (j, i)
+            degrees[start + rows :] += block.sum(axis=0).A1[rows:]
         del block  # the next block is made without this one alive
     return degrees / denom
 
@@ -178,33 +172,31 @@ def continuous_centrality(graph: SentenceGraph, config: SummaryConfig) -> np.nda
     Rows are normalized to transition probabilities (all-zero rows become
     uniform), mixed with the uniform distribution at rate ``1 - damping``,
     and iterated until the L1 change drops below ``tolerance``, for at most
-    ``max_iterations`` steps: all three from ``config``. Each row is
-    summed in column order, whatever order the graph stores it in, and the
-    one graph read becomes the transition matrix in place.
+    ``max_iterations`` steps: all three from ``config``. The weights are
+    read as ``N Nᵀ``, never made, so one step is two sparse mat-vecs (Erkan
+    & Radev 2004); unclipped, with no unit diagonal set, they and γ differ
+    from the stored graph's only in rounding.
     """
     n = graph.n
-    transition = graph.weights
-    transition.sort_indices()
-    row_sums = np.asarray(transition.sum(axis=1)).ravel()
+    rows, columns = graph.normalized, graph.normalized.T
+    row_sums = rows @ (columns @ np.ones(n))
     if not np.any(row_sums > 0):
         raise ValueError("graph has no positive row sums")
 
     inv = np.divide(1.0, row_sums, out=np.zeros(n), where=row_sums > 0)
-    transition.data *= np.repeat(inv, np.diff(transition.indptr))
     zero_rows = row_sums <= 0
 
     damping, tolerance, max_iterations = config.damping, config.tolerance, config.max_iterations
     x = np.full(n, 1.0 / n)
     uniform = (1.0 - damping) / n
     for _ in range(max_iterations):
-        nxt = damping * (x @ transition + x[zero_rows].sum() / n) + uniform
-        if np.abs(nxt - x).sum() < tolerance:
-            x = nxt
-            break
+        nxt = damping * (rows @ (columns @ (x * inv)) + x[zero_rows].sum() / n) + uniform
+        change = np.abs(nxt - x).sum()
         x = nxt
-    else:
-        raise RuntimeError(f"power iteration did not converge in {max_iterations} iterations")
-    return x / x.sum()
+        if change < tolerance:
+            return x / x.sum()
+    last = f"last L1 change {change:.3g}, tolerance {tolerance:g}"
+    raise RuntimeError(f"power iteration did not converge in {max_iterations} iterations: {last}")
 
 
 def centrality(graph: SentenceGraph, config: SummaryConfig) -> np.ndarray:
@@ -247,9 +239,9 @@ def select_top(scores: np.ndarray, size: int) -> list[int]:
 class SentenceAnalysis:
     """What every summary of one document shares: its sentences' token lists
     and one term-count matrix that feeds the graph, guidance and the BM25
-    query of each summary; and on first use the centrality γ per graph
-    setting, and one theme slot: the last theme index asked for, the binary
-    queries against it and, once a guided summary asks, guidance σ."""
+    query of each summary; and on first use the graph, γ per setting its
+    centrality reads, and one theme slot: the last theme index asked for,
+    the binary queries against it and, once a guided summary asks, σ."""
 
     def __init__(self, sentences: Sequence[str]):
         self.tokens = [tokenize(text) for text in sentences]
@@ -257,11 +249,14 @@ class SentenceAnalysis:
         self._gamma: dict[tuple, np.ndarray] = {}
         self._theme: tuple[Bm25Index, sparse.csr_matrix, np.ndarray | None] | None = None
 
+    @cached_property
+    def graph(self) -> SentenceGraph:
+        return similarity_matrix(self.counts)
+
     def gamma(self, config: SummaryConfig) -> np.ndarray:
         key = config.graph_settings
         if key not in self._gamma:
-            graph = similarity_matrix(self.counts)
-            self._gamma[key] = centrality(graph, config)
+            self._gamma[key] = centrality(self.graph, config)
         return self._gamma[key]
 
     def queries(self, theme_index: Bm25Index) -> sparse.csr_matrix:

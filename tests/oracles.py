@@ -278,11 +278,11 @@ def stationary_brute(weights, damping: float) -> np.ndarray:
 def continuous_centrality_transposed(
     graph, damping: float = 0.85, tolerance: float = 1e-8, max_iterations: int = 1000
 ) -> np.ndarray:
-    """Continuous centrality over three n × n copies of the graph: its
-    weights, their transpose converted back to CSR (rows in column order,
-    since the graph is symmetric bit for bit) and the transition
-    ``diags(1/rowsum) @ weights``. The package reads the weights once and
-    scales them in place; γ must not change."""
+    """Continuous centrality over three n × n copies of the stored graph:
+    its weights, their transpose converted back to CSR (rows in column
+    order, since the graph is symmetric bit for bit) and the transition
+    ``diags(1/rowsum) @ weights``. The package walks ``N Nᵀ`` without
+    making the graph; its γ differs from this one only in rounding."""
     n = graph.n
     weights = graph.weights.T.tocsr()
     row_sums = np.asarray(weights.sum(axis=1)).ravel()

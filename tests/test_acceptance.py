@@ -35,7 +35,7 @@ from themerank.lexrank import (
 )
 from themerank.metrics import evaluate_run, f1
 from themerank.ranking import PipelineConfig, classify_corpus, write_rankings
-from test_lexrank import graph_from_dense
+from test_lexrank import graph_from_dense, graph_from_rows, random_rows
 from test_metrics import assert_matches_oracles, random_batch
 
 APPEALS_ENV = os.environ.get("THEMERANK_APPEALS")
@@ -90,17 +90,17 @@ def test_criterion_3_centrality_numerics():
         rng = np.random.default_rng(103)
         for _ in range(100):
             n = int(rng.integers(5, 11))
-            weights = rng.uniform(0.0, 1.0, (n, n))
-            weights = (weights + weights.T) / 2.0
-            np.fill_diagonal(weights, 1.0)
-            graph = graph_from_dense(weights)
-
-            gamma = continuous_centrality(graph, SummaryConfig(damping=0.85, tolerance=1e-8))
-            expected = stationary_brute(weights, 0.85)
+            # continuous centrality walks N Nᵀ from the sentence rows N
+            rows = graph_from_rows(random_rows(rng, n))
+            gamma = continuous_centrality(rows, SummaryConfig(damping=0.85, tolerance=1e-8))
+            expected = stationary_brute(rows.weights.toarray(), 0.85)
             assert np.all(np.abs(gamma - expected) < 1e-6)
             assert abs(gamma.sum() - 1.0) <= 1e-9
 
-            degrees = degree_centrality(graph, 0.3)
+            weights = rng.uniform(0.0, 1.0, (n, n))
+            weights = (weights + weights.T) / 2.0
+            np.fill_diagonal(weights, 1.0)
+            degrees = degree_centrality(graph_from_dense(weights), 0.3)
             assert degrees.tolist() == degree_brute(weights.tolist(), 0.3)
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from themerank.bm25 import Bm25Params, build_index, scores_for_all
 from themerank import lexrank
 from themerank.lexrank import (
     SentenceAnalysis,
+    SentenceGraph,
     SummaryConfig,
     combined_scores,
     continuous_centrality,
@@ -40,8 +42,8 @@ from themerank.textproc import term_counts
 @dataclass(frozen=True)
 class WeightsGraph:
     """A graph given by its weights, handed out as a new matrix on each read
-    and with every row in one new block: what the centralities read of a
-    ``SentenceGraph``."""
+    and in new blocks of ``lexrank.ROW_BLOCK`` rows against the columns from
+    their first row on: what degree centrality reads of a ``SentenceGraph``."""
 
     matrix: sparse.csr_matrix
 
@@ -54,11 +56,33 @@ class WeightsGraph:
         return self.matrix.copy()
 
     def blocks(self):
-        yield 0, self.matrix.copy()
+        for start in range(0, self.n, lexrank.ROW_BLOCK):
+            yield start, self.matrix[start : start + lexrank.ROW_BLOCK, start:]
 
 
 def graph_from_dense(weights) -> WeightsGraph:
     return WeightsGraph(sparse.csr_matrix(np.asarray(weights, dtype=float)))
+
+
+def graph_from_rows(rows) -> SentenceGraph:
+    """The graph of non-negative tf-idf rows, scaled to unit norm (all-zero
+    rows stay zero): what continuous centrality reads."""
+    rows = np.asarray(rows, dtype=float)
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    return SentenceGraph(sparse.csr_matrix(np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)))
+
+
+def random_rows(rng: np.random.Generator, n: int, terms: int = 6) -> np.ndarray:
+    """Tf-idf-like rows: non-negative, about half of the entries zero."""
+    return rng.uniform(0.0, 1.0, (n, terms)) * (rng.uniform(0.0, 1.0, (n, terms)) < 0.5)
+
+
+def assert_continuous_matches_oracles(graph, gamma, damping=0.85):
+    """γ against the dense eigen-solve of the stored graph, to 1e-6, and
+    against the power iteration over that graph, to 1e-12 of the largest γ."""
+    assert np.allclose(gamma, stationary_brute(graph.weights.toarray(), damping), rtol=0, atol=1e-6)
+    expected = continuous_centrality_transposed(graph, damping=damping)
+    assert np.abs(gamma - expected).max() <= 1e-12 * expected.max()
 
 
 def graph_of(token_lists):
@@ -124,6 +148,8 @@ class TestSimilarityMatrix:
             graph_of([[], []])
 
 
+ONE_BELOW = float(np.nextafter(1.0, 0.0))  # the largest valid threshold
+
 sentence_token_lists = st.lists(
     st.lists(st.sampled_from(["a", "b", "c", "d", "e", "f", "g"]), max_size=12),
     min_size=1,
@@ -141,7 +167,8 @@ def assert_same_csr(got, expected):
 class TestGraphMatchesRebuild:
     """The bare product, clipped with its diagonal written in place, equals
     the graph rebuilt from its upper triangle bit for bit, and so does the
-    centrality computed on it."""
+    degree centrality computed on it; continuous γ, which never makes the
+    graph, agrees with its oracles."""
 
     @settings(max_examples=300, deadline=None)
     @given(sentence_token_lists)
@@ -164,33 +191,29 @@ class TestGraphMatchesRebuild:
         rebuilt = WeightsGraph(similarity_graph_rebuilt(token_lists))
         degrees = degree_centrality(graph, threshold)
         assert degrees.tobytes() == degree_centrality(rebuilt, threshold).tobytes()
-        gamma = continuous_centrality(graph, SummaryConfig())
-        assert gamma.tobytes() == continuous_centrality(rebuilt, SummaryConfig()).tobytes()
+        assert_continuous_matches_oracles(rebuilt, continuous_centrality(graph, SummaryConfig()))
 
 
-class TestContinuousInPlace:
-    """Continuous γ from one graph read, sorted and scaled in place, equals
-    the three-copy transpose-and-product form bit for bit, with the graph
-    stacked from blocks of three rows so that rows cross block bounds."""
+class TestContinuousMatrixFree:
+    """Continuous γ from two sparse mat-vecs with ``N`` per step agrees with
+    the walk over the stored graph and with its dense eigen-solve."""
 
     @settings(max_examples=200, deadline=None)
     @given(sentence_token_lists, st.sampled_from([0.5, 0.85]))
     @example([["a"]], 0.85)  # n = 1
     @example([[], ["a", "b"], [], ["b", "c"], ["a"], []], 0.85)  # zero rows
-    def test_gamma_bitwise(self, token_lists, damping):
+    def test_gamma_equals_oracles(self, token_lists, damping):
         assume(any(token_lists))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lexrank, "ROW_BLOCK", 3)
-            graph = graph_of(token_lists)
-            gamma = continuous_centrality(graph, SummaryConfig(damping=damping))
-            expected = continuous_centrality_transposed(graph, damping=damping)
-        assert gamma.tobytes() == expected.tobytes()
+        graph = graph_of(token_lists)
+        gamma = continuous_centrality(graph, SummaryConfig(damping=damping))
+        assert_continuous_matches_oracles(graph, gamma, damping)
 
 
 class TestGraphInBlocks:
-    """γ from an analysis, its graph made three rows at a time so that most
-    draws span several blocks, equals the centrality of the full rebuilt
-    graph bit for bit."""
+    """Degree γ, its graph made three rows at a time so that most draws span
+    several blocks, equals the degrees of the full rebuilt graph bit for
+    bit; continuous γ, which reads no block, agrees with its oracles; and
+    neither holds the full graph."""
 
     @settings(max_examples=300, deadline=None)
     @given(sentence_token_lists, st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.6, 0.99]))
@@ -207,10 +230,37 @@ class TestGraphInBlocks:
         rebuilt = similarity_graph_rebuilt(token_lists).toarray().tolist()
         assert gamma.tobytes() == np.array(degree_brute(rebuilt, threshold)).tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sentence_token_lists,
+        st.sampled_from([0.05, 0.3, 0.6, ONE_BELOW, "weight"]),
+        st.integers(0, 2**16),
+    )
+    @example([[], ["a"], ["a", "b"], [], ["b"], ["a"], []], 0.3, 0)  # empty rows at block edges
+    @example([[], ["a"], ["a", "b"], [], ["b"], ["a"], []], "weight", 1)
+    # rows 0 and 3 store a diagonal that rounds below ONE_BELOW: counting one
+    # self-edge per non-empty row instead of masking the diagonal is wrong
+    @example([["g", "e", "d", "d", "f"], ["b", "f"], ["g", "e"], ["f", "a", "f", "g"], ["b"]], ONE_BELOW, 0)
+    def test_degree_reads_each_pair_once(self, token_lists, threshold, pick):
+        assume(any(token_lists))
+        rebuilt = similarity_graph_rebuilt(token_lists)
+        dense = rebuilt.toarray()
+        if threshold == "weight":
+            # an exact off-diagonal weight, so a pair sits on the threshold
+            weights = dense[~np.eye(len(token_lists), dtype=bool)]
+            weights = weights[weights > 0]
+            assume(weights.size)
+            threshold = weights[pick % weights.size]
+        expected = np.array(degree_brute(dense.tolist(), threshold)).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexrank, "ROW_BLOCK", 3)
+            assert degree_centrality(graph_of(token_lists), threshold).tobytes() == expected
+            assert degree_centrality(WeightsGraph(rebuilt), threshold).tobytes() == expected
+
     @settings(max_examples=100, deadline=None)
     @given(sentence_token_lists)
     @example([[], ["a", "b"], [], ["b", "c"], ["a"], []])
-    def test_stacked_blocks_equal_rebuild(self, token_lists):
+    def test_weights_and_continuous_equal_rebuild(self, token_lists):
         assume(any(token_lists))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lexrank, "ROW_BLOCK", 3)
@@ -220,10 +270,12 @@ class TestGraphInBlocks:
             )
         rebuilt = similarity_graph_rebuilt(token_lists)
         assert_same_csr(weights.sorted_indices(), rebuilt)
-        expected = continuous_centrality(WeightsGraph(rebuilt), SummaryConfig())
-        assert gamma.tobytes() == expected.tobytes()
+        assert_continuous_matches_oracles(WeightsGraph(rebuilt), gamma)
 
-    def test_degree_never_holds_the_full_graph(self):
+    @staticmethod
+    def peak_bytes_of_gamma(config: SummaryConfig) -> tuple[int, int]:
+        """tracemalloc peak of γ, graph included, on 2,000 sentences that
+        all share a term, and the bytes of their full graph."""
         rng = random.Random(61)
         words = [f"w{i}" for i in range(40)]
         n = 2000
@@ -238,11 +290,19 @@ class TestGraphInBlocks:
         full_graph_bytes = n * n * 12
         tracemalloc.start()
         try:
-            analysis.gamma(SummaryConfig())
+            analysis.gamma(config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak, full_graph_bytes
+
+    def test_degree_never_holds_the_full_graph(self):
+        peak, full_graph_bytes = self.peak_bytes_of_gamma(SummaryConfig())
         assert peak < full_graph_bytes / 4
+
+    def test_continuous_never_holds_the_full_graph(self):
+        peak, full_graph_bytes = self.peak_bytes_of_gamma(SummaryConfig(centrality="continuous"))
+        assert peak < full_graph_bytes / 20
 
 
 class TestDegreeCentrality:
@@ -281,62 +341,67 @@ class TestDegreeCentrality:
                 assert np.all(gamma <= previous + 1e-12)
             previous = gamma
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = rng.integers(2, 9)
-            weights = rng.uniform(0, 1, (n, n))
-            weights = (weights + weights.T) / 2
-            np.fill_diagonal(weights, 1.0)
-            gamma = degree_centrality(graph_from_dense(weights), 0.4)
-            assert gamma.tolist() == degree_brute(weights.tolist(), 0.4)
+        for row_block in (lexrank.ROW_BLOCK, 3):  # one block, then most graphs span several
+            monkeypatch.setattr(lexrank, "ROW_BLOCK", row_block)
+            for _ in range(20):
+                n = rng.integers(2, 9)
+                weights = rng.uniform(0, 1, (n, n))
+                weights = (weights + weights.T) / 2
+                np.fill_diagonal(weights, 1.0)
+                gamma = degree_centrality(graph_from_dense(weights), 0.4)
+                assert gamma.tolist() == degree_brute(weights.tolist(), 0.4)
 
 
 class TestContinuousCentrality:
     def test_uniform_graph(self):
-        weights = np.ones((4, 4))
-        gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig())
+        gamma = continuous_centrality(graph_from_rows(np.ones((4, 1))), SummaryConfig())
         assert np.allclose(gamma, 0.25, atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            n = int(rng.integers(2, 12))
-            weights = rng.uniform(0, 1, (n, n))
-            weights = (weights + weights.T) / 2
-            gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig())
+            graph = graph_from_rows(random_rows(rng, int(rng.integers(2, 12))))
+            gamma = continuous_centrality(graph, SummaryConfig())
             assert abs(gamma.sum() - 1.0) < 1e-9
             assert np.all(gamma >= 0.0)
 
     def test_matches_dense_eigen_solve(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
-            n = int(rng.integers(5, 11))
-            weights = rng.uniform(0, 1, (n, n))
-            weights = (weights + weights.T) / 2
-            np.fill_diagonal(weights, 1.0)
-            gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig(damping=0.85))
-            expected = stationary_brute(weights, 0.85)
+            graph = graph_from_rows(random_rows(rng, int(rng.integers(5, 11))))
+            gamma = continuous_centrality(graph, SummaryConfig(damping=0.85))
+            expected = stationary_brute(graph.weights.toarray(), 0.85)
             assert np.allclose(gamma, expected, atol=1e-6)
 
     def test_zero_row_replaced_by_uniform(self):
-        weights = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.8], [0.0, 0.8, 1.0]])
-        gamma = continuous_centrality(graph_from_dense(weights), SummaryConfig())
-        expected = stationary_brute(weights, 0.85)
+        graph = graph_from_rows([[0.0, 0.0], [1.0, 0.0], [0.6, 0.8]])
+        gamma = continuous_centrality(graph, SummaryConfig())
+        expected = stationary_brute(graph.weights.toarray(), 0.85)
         assert np.allclose(gamma, expected, atol=1e-6)
 
     def test_all_zero_graph_rejected(self):
         with pytest.raises(ValueError):
-            continuous_centrality(graph_from_dense(np.zeros((3, 3))), SummaryConfig())
+            continuous_centrality(graph_from_rows(np.zeros((3, 2))), SummaryConfig())
 
     def test_non_convergence_raises(self):
-        rng = np.random.default_rng(10)
-        weights = rng.uniform(0, 1, (6, 6))
-        weights = (weights + weights.T) / 2
+        graph = graph_from_rows(random_rows(np.random.default_rng(10), 6))
         with pytest.raises(RuntimeError, match="converge"):
-            continuous_centrality(
-                graph_from_dense(weights), SummaryConfig(tolerance=1e-300, max_iterations=3)
-            )
+            continuous_centrality(graph, SummaryConfig(tolerance=1e-300, max_iterations=3))
+
+    def test_non_convergence_names_last_change_and_tolerance(self):
+        graph = graph_from_rows([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        config = SummaryConfig(max_iterations=1)
+        # one step from the uniform start, which the unequal degrees move
+        x = np.full(4, 0.25)
+        dense = graph.weights.toarray()
+        step = 0.85 * (x / dense.sum(axis=1)) @ dense + 0.15 / 4
+        change = np.abs(step - x).sum()
+        assert change > 1e-3
+        message = f"did not converge in 1 iterations: last L1 change {change:.3g}, tolerance 1e-08"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            continuous_centrality(graph, config)
 
 
 class TestGuidanceScores:
@@ -574,7 +639,27 @@ class TestSharedAnalysis:
                         SentenceAnalysis(sentences), config, theme_index
                     )
             fresh = 3 * len(configs)  # one graph per fresh analysis
-            assert len(graphs) == 2 + fresh  # one per threshold from the shared analysis
+            assert len(graphs) == 1 + fresh  # one from the shared analysis
+
+    def test_gamma_keyed_by_the_knobs_its_centrality_reads(self, monkeypatch):
+        calls = {"similarity_matrix": 0, "centrality": 0}
+        for name in calls:
+            original = getattr(lexrank, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(lexrank, name, counted)
+        analysis = SentenceAnalysis(["A b c.", "B c d.", "C d e.", "A e f."])
+        degree = [SummaryConfig(damping=d, tolerance=t) for d in (0.5, 0.85) for t in (1e-8, 1e-6)]
+        continuous = [SummaryConfig(centrality="continuous", threshold=t) for t in (0.1, 0.3)]
+        for config in degree + continuous:
+            summarize(analysis, config)
+        assert calls == {"similarity_matrix": 1, "centrality": 2}
+        summarize(analysis, SummaryConfig(threshold=0.3))
+        summarize(analysis, SummaryConfig(centrality="continuous", damping=0.5))
+        assert calls == {"similarity_matrix": 1, "centrality": 4}
 
 
 _THEMES = st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12), min_size=1, max_size=8)
