@@ -22,8 +22,8 @@ from .textproc import (
     abbreviation_key,
     default_removal_rules,
     default_stopwords,
+    folded_stopwords,
     load_stopwords,
-    stopword_regex,
 )
 
 
@@ -188,9 +188,9 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
     stopword_path = section["stopwords"]
     stopwords = load_stopwords(stopword_path) if stopword_path else default_stopwords()
     try:
-        stopword_regex(stopwords)  # once here, not once per appeal
+        folded_stopwords(stopwords)  # once here, not once per appeal
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{stopword_path}: {exc}") from exc
 
     raw_patterns = section["removal_patterns"]
     if raw_patterns is None:

@@ -107,13 +107,14 @@ def default_removal_rules() -> tuple[RemovalRule, ...]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: one lowercase token per line, # starts a comment."""
+    """Read a stopword file: one word per line, # starts a comment. Entries
+    are stored NFC-normalised in their own case; matching folds case."""
     words = set()
     with open(path, encoding="utf-8") as handle:
         for line in handle:
             word = line.split("#", 1)[0].strip()
             if word:
-                words.add(unicodedata.normalize("NFC", word.lower()))
+                words.add(unicodedata.normalize("NFC", word))
     return frozenset(words)
 
 
@@ -139,6 +140,12 @@ class PreprocessConfig:
     core_start_markers: tuple[str, ...] = ()
     core_end_markers: tuple[str, ...] = ()
     abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
+
+    def __post_init__(self):
+        # the config keys the per-appeal memo and the stopword cache: a set
+        # left unfrozen would fail every appeal of a batch as unhashable
+        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
+        object.__setattr__(self, "abbreviations", frozenset(self.abbreviations))
 
 
 def extract_core(raw_text: str, config: PreprocessConfig | None = None) -> str:
@@ -252,104 +259,56 @@ def term_counts(
     return terms, matrix
 
 
-def _case_classes(chars) -> dict[str, str]:
-    """Map each character to one representative of the characters that match
-    the same text under ``re.IGNORECASE``: ``s``/``S``/``ſ``, ``k``/``K``
-    (Kelvin sign), ``i``/``I``/``ı``/``İ``, ``σ``/``ς``, ``µ``/``μ`` and so on.
-
-    A cased pattern character matches exactly the text characters of its
-    class, the classes are disjoint, and an uncased character matches only
-    itself; so one representative stands for its whole class in a pattern.
-    """
-    representatives: list[str] = []
-    classes = {}
-    for ch in sorted(chars):
-        if ch.lower() == ch == ch.upper():
-            classes[ch] = ch
-            continue
-        for rep in representatives:
-            if re.fullmatch(re.escape(rep), ch, re.IGNORECASE):
-                classes[ch] = rep
-                break
-        else:
-            representatives.append(ch)
-            classes[ch] = ch
-    return classes
+# re.IGNORECASE matches letters that str.lower keeps apart: lowercase letters
+# with one uppercase (ſ/s, ı/i, µ/μ, ς/σ, Greek symbol forms, forms NFC
+# replaces), İ (two characters under str.lower) and Σ (ς at a word's end).
+# Python 3.11+ also pairs Cyrillic rounded forms (U+1C80-U+1C88), 3.10 not.
+_FOLD = str.maketrans("ſıİµςΣϐϵϑϰϖϱϕẛﬅ\u1fbe\u1fd3\u1fe3", "siiμσσβεθκπρφṡﬆι\u0390\u03b0")
+_FOLDABLE_RE = re.compile("[" + "".join(map(chr, _FOLD)) + "]")
+_WORD_RUN_RE = re.compile(r"([^\W_]+)")
 
 
-def _trie_pattern(root: dict) -> str:
-    """The pattern of a trie: a run of single-child nodes as literals, then a
-    group at a branch point or where a word ends (key ``""``), the group made
-    optional after its children, so longer words are tried first. Written
-    out depth first from an explicit stack, so nesting costs no recursion."""
-    parts: list[str] = []
-    stack: list[str | dict] = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-            continue
-        while len(node) == 1 and "" not in node:
-            ((ch, node),) = node.items()
-            parts.append(re.escape(ch))
-        keys = sorted(ch for ch in node if ch)
-        if keys:
-            pending: list[str | dict] = ["(?:"]
-            for ch in keys:
-                pending += [re.escape(ch), node[ch], "|"]
-            pending[-1] = ")?" if "" in node else ")"
-            stack.extend(reversed(pending))
-    return "".join(parts)
+def fold(word: str) -> str:
+    """The case key of a word: two words match under ``re.IGNORECASE``
+    exactly when their folds are equal."""
+    return word.translate(_FOLD).lower()
 
 
 @lru_cache(maxsize=16)
-def stopword_regex(words: frozenset[str]) -> re.Pattern | None:
-    """One regex for a stopword set, its words factored as a prefix trie.
-
-    The trie is keyed by case class, so all the words that can match at one
-    position lie on one path, and greedy depth-first matching returns the
-    longest of them that passes the word-boundary guard: the same matches as
-    an alternation of the words sorted longest first, without trying every
-    word at every word start. Entries may span punctuation (``d'``).
-
-    Groups nest once per branch point or word end along an entry. ``re``
-    parses nested groups recursively, so only a set holding many hundreds of
-    nested prefixes of one entry exceeds Python's recursion limit when the
-    pattern compiles; that raises ValueError.
-    """
-    if not words:
-        return None
-    classes = _case_classes({ch for word in words for ch in word})
-    root: dict = {}
-    for word in words:
-        node = root
-        for ch in word:
-            node = node.setdefault(classes[ch], {})
-        node[""] = {}
-    # custom word boundary: underscore counts as a separator, unlike \b
-    try:
-        return re.compile(rf"(?<![^\W_])(?:{_trie_pattern(root)})(?![^\W_])", re.IGNORECASE)
-    except RecursionError:
-        raise ValueError(
-            "stopword set cannot compile: its entries nest too many prefixes of one "
-            "another for Python's recursion limit"
-        ) from None
+def folded_stopwords(words: frozenset[str]) -> frozenset[str]:
+    r"""The folds of a stopword set. Each entry must be one word, a run of
+    ``[^\W_]`` (``str.isalnum``); ValueError names the first that is not."""
+    for word in sorted(words):
+        if not word.isalnum():
+            raise ValueError(f"stopword {word!r} is not one word (a run of letters and digits)")
+    return frozenset(map(fold, words))
 
 
 def remove_noise(text: str, config: PreprocessConfig) -> str:
     """Strip noise patterns and stopwords when removal is enabled.
 
     With ``remove_terms`` false the input is returned unchanged. Otherwise the
-    removal patterns run in declared order, stopwords are removed as whole
-    words, and the result is whitespace-collapsed.
+    removal patterns run in declared order, then each whitespace-separated
+    piece is dropped when it is a stopword, or loses its stopword word runs
+    when it holds punctuation; the rest is joined by single spaces.
     """
     if not config.remove_terms:
         return text
     cleaned = unicodedata.normalize("NFC", text)
     for rule in config.removal_patterns:
         cleaned = rule.pattern.sub(" ", cleaned)
-    stopword_re = stopword_regex(config.stopwords)
-    if stopword_re is not None:
-        cleaned = stopword_re.sub(" ", cleaned)
+    stopwords = folded_stopwords(config.stopwords)
     # str.split() splits at runs of str.isspace, which is re's \s
-    return " ".join(cleaned.split())
+    if not stopwords:
+        return " ".join(cleaned.split())
+    key = str.lower if _FOLDABLE_RE.search(cleaned) is None else fold
+    kept = []
+    for token in cleaned.split():
+        if token.isalnum():
+            if key(token) not in stopwords:
+                kept.append(token)
+        else:
+            parts = _WORD_RUN_RE.split(token)
+            parts[1::2] = [" " if key(run) in stopwords else run for run in parts[1::2]]
+            kept += "".join(parts).split()
+    return " ".join(kept)

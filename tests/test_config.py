@@ -25,7 +25,7 @@ from themerank.config import (
 from themerank.corpus import AppealRecord
 from themerank.lexrank import SummaryConfig
 from themerank.ranking import PipelineConfig
-from themerank.textproc import load_stopwords, segment_sentences, tokenize
+from themerank.textproc import load_stopwords, remove_noise, segment_sentences, tokenize
 
 
 class TestLoadRunConfig:
@@ -283,6 +283,24 @@ class TestBuildPipeline:
         config["preprocess"]["stopwords"] = str(path)
         preprocess = build_preprocess(config)
         assert preprocess.stopwords == frozenset({"xpto"})
+
+    def test_stopword_file_entries_keep_their_case(self, tmp_path):
+        # İ lowercases to two characters; the fold, not the loader, sets case
+        path = tmp_path / "stop.txt"
+        path.write_text("İSSO\n", encoding="utf-8")
+        config = load_run_config(None)
+        config["preprocess"]["stopwords"] = str(path)
+        preprocess = build_preprocess(config)
+        assert preprocess.stopwords == frozenset({"İSSO"})
+        assert remove_noise("İSSO isso Isso isto", preprocess) == "isto"
+
+    def test_stopword_entry_that_is_not_one_word_refused(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("de\nd'\n", encoding="utf-8")
+        config = load_run_config(None)
+        config["preprocess"]["stopwords"] = str(path)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: stopword \"d'\" is not one word")):
+            build_preprocess(config)
 
 
 class TestGrid:

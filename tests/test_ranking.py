@@ -307,6 +307,17 @@ class TestClassifyCorpus:
         assert len(failures) == 1 and "A2" in failures[0]
 
 
+    def test_set_valued_preprocess_fields_are_frozen(self):
+        # a set left in the config would make it unhashable: it keys the
+        # per-appeal memo and the stopword cache
+        appeals = [AppealRecord("A1", "O art. 5 trata da prescrição intercorrente. A execução fiscal parou.")]
+        frozen = PreprocessConfig(stopwords=frozenset({"o", "a", "da"}), abbreviations=frozenset({"art"}))
+        given = PreprocessConfig(stopwords={"o", "a", "da"}, abbreviations={"art"})
+        assert given == frozen
+        expected = classify_corpus(appeals, SEVEN_THEMES, PipelineConfig(preprocess=frozen))
+        assert expected[1] == []
+        assert classify_corpus(appeals, SEVEN_THEMES, PipelineConfig(preprocess=given)) == expected
+
     def test_memory_error_is_a_per_appeal_failure(self, monkeypatch):
         classify = ranking.classify_appeal
 

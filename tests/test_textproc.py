@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import importlib.util
 import re
 import sys
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,9 @@ from themerank.textproc import (
     default_removal_rules,
     default_stopwords,
     extract_core,
+    fold,
     remove_noise,
     segment_sentences,
-    stopword_regex,
     term_counts,
     tokenize,
 )
@@ -265,23 +267,25 @@ def test_unknown_marker_text_with_defaults_is_identity():
     assert extract_core(text, PreprocessConfig()) is text
 
 
-# Characters that re.IGNORECASE treats as one letter, grouped; a stopword set
-# and a text drawn from them put case variants of one letter on different
-# trie branches unless the trie is keyed by case class.
+# Characters that re.IGNORECASE treats as one letter, grouped; stopwords
+# drawn from them and a text holding their other case variants meet the
+# classes of s, i, μ and σ, which need the fold table, and classes that
+# str.lower closes alone.
 CASE_VARIANTS = ("aA", "sSſ", "kK\u212a", "iIıİ", "µμΜ", "σςΣ", "ßẞ", "éÉ", "dD", "tT")
-STOPWORD_CHARS = "".join(CASE_VARIANTS) + "'/.-_1"
+WORD_CHARS = "".join(CASE_VARIANTS) + "1"
+STOPWORD_CHARS = WORD_CHARS + "'/.-_"
 
 
 @st.composite
 def stopwords_and_text(draw):
     words = draw(
-        st.frozensets(st.text(alphabet=STOPWORD_CHARS, min_size=1, max_size=4), max_size=8)
+        st.frozensets(st.text(alphabet=WORD_CHARS, min_size=1, max_size=4), max_size=8)
         | st.sampled_from(
             [
                 frozenset(),
                 frozenset({"a", "as", "até"}),
-                frozenset({"d'", "d", "da", "c/", "c"}),
-                frozenset({"s", "ſ.x", "k", "\u212a'y", "i", "ı-a"}),
+                frozenset({"d", "da", "c"}),
+                frozenset({"s", "ſx", "k", "\u212ay", "i", "ıa", "ΣΑΣ"}),
             ]
         )
     )
@@ -291,7 +295,7 @@ def stopwords_and_text(draw):
         return st.tuples(*map(st.sampled_from, groups)).map("".join)
 
     piece = st.text(alphabet=STOPWORD_CHARS + "ǅÉ ", max_size=4) | st.sampled_from(
-        [" ", "", "_", ".", "\u00a0", "\n"]
+        [" ", "", "_", ".", "\u00a0", "\n", "\u0345"]
     )
     if words:
         piece |= st.sampled_from(sorted(words)).flatmap(variants)
@@ -299,20 +303,25 @@ def stopwords_and_text(draw):
     return words, "".join(pieces)
 
 
+def ignorecase_removal(text: str, words: frozenset[str]) -> str:
+    """The stopword step as the longest-first alternation under
+    re.IGNORECASE, then the whitespace collapse."""
+    expected = unicodedata.normalize("NFC", text)
+    if words:
+        expected = stopword_regex_brute(words).sub(" ", expected)
+    return re.sub(r"\s+", " ", expected).strip()
+
+
 class TestLinearKernelsMatchOracles:
-    """The prefix-trie stopword regex and the terminal-run segmentation give
-    the same output as the alternation and the per-character loop."""
+    """The stopword word filter and the terminal-run segmentation give the
+    same output as the alternation and the per-character loop."""
 
     @given(stopwords_and_text())
     @settings(max_examples=600, deadline=None)
     def test_stopword_removal_matches_alternation(self, case):
         words, text = case
         config = PreprocessConfig(stopwords=words, removal_patterns=())
-        expected = unicodedata.normalize("NFC", text)
-        if words:
-            expected = stopword_regex_brute(words).sub(" ", expected)
-        expected = re.sub(r"\s+", " ", expected).strip()
-        assert remove_noise(text, config) == expected
+        assert remove_noise(text, config) == ignorecase_removal(text, words)
 
     def test_every_whitespace_character_collapses(self):
         config = PreprocessConfig(stopwords=frozenset(), removal_patterns=())
@@ -321,25 +330,21 @@ class TestLinearKernelsMatchOracles:
                 text = f"{space}a{space} {space}b{space * 3}c {space}"
                 assert remove_noise(text, config) == "a b c", hex(ord(space))
 
-    def test_case_variant_on_another_branch_keeps_longest_word(self):
-        # "ſ.x" matches "s.x" under IGNORECASE; an ſ branch apart from the s
-        # branch would stop at "s"
-        config = PreprocessConfig(stopwords=frozenset({"s", "ſ.x"}), removal_patterns=())
-        assert remove_noise("s.x y", config) == "y"
+    @pytest.mark.parametrize("entry", ["d'", "c/", "ſ.x", "\u212a'y", "ı-a", "a_b", "", "\u0345"])
+    def test_entry_that_is_not_one_word_refused(self, entry):
+        # entries are single [^\W_]+ words: one that spans punctuation, or
+        # holds none, is refused rather than matched across a separator
+        config = PreprocessConfig(stopwords=frozenset({entry, "d", "s"}), removal_patterns=())
+        with pytest.raises(ValueError, match="is not one word"):
+            remove_noise("d'água c/ s.x", config)
 
     def test_hundreds_of_nested_prefixes_match_alternation(self):
-        # one group per word end along an entry: the pattern is built without
-        # recursion, and re compiles 399 nested groups
-        words = frozenset("a" * i for i in range(1, 400))
-        text = " ".join(["a" * i for i in (1, 2, 57, 398, 399, 400, 401)] + ["b", "a_a", "aab"])
-        expected = stopword_regex_brute(words).sub(" ", text)
-        assert stopword_regex(words).sub(" ", text) == expected
-        assert expected.split() == ["a" * 400, "a" * 401, "b", "_", "aab"]
-
-    def test_deeply_nested_prefixes_raise_value_error(self):
-        # 1,000 nested groups exceed Python's recursion limit in re's parser
-        with pytest.raises(ValueError, match="recursion limit"):
-            stopword_regex(frozenset("a" * i for i in range(1, 1001)))
+        words = frozenset("a" * i for i in range(1, 1000))
+        text = " ".join(["a" * i for i in (1, 2, 57, 398, 999, 1000, 1001)] + ["b", "a_a", "aab"])
+        config = PreprocessConfig(stopwords=words, removal_patterns=())
+        expected = ignorecase_removal(text, words)
+        assert remove_noise(text, config) == expected
+        assert expected.split() == ["a" * 1000, "a" * 1001, "b", "_", "aab"]
 
     @given(
         st.lists(
@@ -399,3 +404,51 @@ class TestDefaultRulesMatchReadableOracles:
     def test_remove_noise_matches_readable_step(self, text):
         expected = remove_noise_brute(text, default_stopwords())
         assert remove_noise(text, PreprocessConfig()) == expected
+
+    def test_remove_noise_matches_readable_step_on_a_generated_corpus(self, monkeypatch):
+        # appeals from the benchmark's generator: its Zipf vocabulary, noise
+        # kinds and Portuguese stopword stream, byte for byte
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)
+        spec.loader.exec_module(gen)
+        _, appeals = gen.make_corpus(gen.CorpusShape(4, 1, 8000), seed=11)
+        for _, text, _ in appeals:
+            assert remove_noise(text, PreprocessConfig()) == remove_noise_brute(text, default_stopwords())
+
+
+class TestFold:
+    """``fold`` is the case key of the stopword filter; ``re.IGNORECASE`` is
+    the contract it keeps."""
+
+    def test_fold_classes_are_re_ignorecase_classes(self):
+        word_chars = "".join(ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isalnum())
+        by_fold = defaultdict(set)
+        for ch in word_chars:
+            by_fold[fold(ch)].add(ch)
+        letters = set("".join(CASE_VARIANTS)) | set("".join(default_stopwords()))
+        for c in sorted(letters):
+            matched = set(re.findall(re.escape(c), word_chars, re.IGNORECASE))
+            assert by_fold[fold(c)] == matched, c
+
+    def test_capital_sigma_at_a_word_end(self):
+        # str.lower gives ς for a word-final Σ; re matches Σ to σ anywhere
+        assert "ΑΣ".lower() == "ας" and fold("ΑΣ") == fold("ας") == fold("ασ") == "ασ"
+        config = PreprocessConfig(stopwords=frozenset({"ασ"}), removal_patterns=())
+        assert remove_noise("ΑΣ Ασ ας ΑΣΑ", config) == "ΑΣΑ" == ignorecase_removal("ΑΣ Ασ ας ΑΣΑ", {"ασ"})
+
+    def test_dotted_capital_i(self):
+        # str.lower makes İ two characters, i and U+0307; re matches it to i
+        assert len("İSSO".lower()) == 5 and fold("İSSO") == "isso"
+        for entry in ("isso", "İSSO", "ISSO"):
+            config = PreprocessConfig(stopwords=frozenset({entry}), removal_patterns=())
+            assert remove_noise("İSSO isso Isso ıSSO isto", config) == "isto", entry
+
+    def test_ypogegrammeni_is_not_a_word(self):
+        # U+0345 is not [^\W_], so the filter never removes it, though
+        # re.IGNORECASE matches it to ι; as an entry it is refused
+        text = "a \u0345 ι Ι b"
+        config = PreprocessConfig(stopwords=frozenset({"ι"}), removal_patterns=())
+        assert remove_noise(text, config) == "a \u0345 b"
+        assert ignorecase_removal(text, frozenset({"ι"})) == "a b"
