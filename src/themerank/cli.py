@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import config as cfgmod
@@ -280,21 +280,11 @@ def _run_cell(config: PipelineConfig, outcome: CorpusOutcome, gold: dict, outdir
     return report, len(outcome.failures), seconds
 
 
+# the metric columns of a grid row: MetricReport's fields after k, in its order
+METRIC_COLUMNS = tuple(field.name for field in fields(MetricReport))[1:]
 GRID_SUMMARY_HEADER = (
-    "cell",
-    "preprocess",
-    "representation",
-    "summary_size",
-    "similarity",
-    "recall_at_k",
-    "precision_at_k",
-    "map_at_k",
-    "f1",
-    "ndcg_at_k",
-    "query_count",
-    "skipped",
-    "failures",
-    "seconds",
+    "cell", "preprocess", "representation", "summary_size", "similarity",
+    *METRIC_COLUMNS, "failures", "seconds",
 )
 SCATTER_HEADER = ("cell", "recall_at_k", "map_at_k", "ndcg_at_k")
 
@@ -321,9 +311,9 @@ def cmd_grid(args) -> int:
     for config, outcome in zip(configs, outcomes):
         report, failures, seconds = _run_cell(config, outcome, gold, outdir)
         name = descriptor(config)
-        metrics = [""] * 7  # a failed cell keeps its row with empty metric fields
+        metrics = [""] * len(METRIC_COLUMNS)  # a failed cell keeps its row with empty metric fields
         if report is not None:
-            metrics = [getattr(report, field) for field in GRID_SUMMARY_HEADER[5:12]]
+            metrics = [getattr(report, field) for field in METRIC_COLUMNS]
             scatter.append([name, *(getattr(report, field) for field in SCATTER_HEADER[1:])])
         summary.append([name, *report_fields(config), *metrics, failures, f"{seconds:.3f}"])
 

@@ -19,10 +19,8 @@ from .textproc import (
     DEFAULT_ABBREVIATIONS,
     PreprocessConfig,
     RemovalRule,
-    abbreviation_key,
     default_removal_rules,
     default_stopwords,
-    folded_stopwords,
     load_stopwords,
 )
 
@@ -186,12 +184,6 @@ def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[s
 def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
     section = config["preprocess"]
     stopword_path = section["stopwords"]
-    stopwords = load_stopwords(stopword_path) if stopword_path else default_stopwords()
-    try:
-        folded_stopwords(stopwords)  # once here, not once per appeal
-    except ValueError as exc:
-        raise ConfigError(f"{stopword_path}: {exc}") from exc
-
     raw_patterns = section["removal_patterns"]
     if raw_patterns is None:
         patterns = default_removal_rules()
@@ -211,19 +203,20 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
                 patterns.append(RemovalRule.compile(entry["name"], entry["pattern"]))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-        patterns = tuple(patterns)
 
     abbreviations = section["abbreviations"]
-    if abbreviations is not None:
-        abbreviations = frozenset(map(abbreviation_key, abbreviations))
-    return PreprocessConfig(
-        remove_terms=bool(section["remove_terms"]),
-        stopwords=stopwords,
-        removal_patterns=patterns,
-        core_start_markers=tuple(section["core_start_markers"] or ()),
-        core_end_markers=tuple(section["core_end_markers"] or ()),
-        abbreviations=DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations,
-    )
+    try:
+        return PreprocessConfig(
+            remove_terms=bool(section["remove_terms"]),
+            stopwords=load_stopwords(stopword_path) if stopword_path else default_stopwords(),
+            removal_patterns=patterns,
+            core_start_markers=section["core_start_markers"] or (),
+            core_end_markers=section["core_end_markers"] or (),
+            abbreviations=DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations,
+        )
+    except ValueError as exc:
+        # the file's shapes are checked, so only a stopword entry is left to refuse
+        raise ConfigError(f"{stopword_path}: {exc}") from exc
 
 
 def report_fields(pipeline: PipelineConfig) -> tuple[str, str, str, str]:

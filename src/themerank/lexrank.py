@@ -15,6 +15,7 @@ several sizes and weights can share one analysis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -71,6 +72,14 @@ class SentenceGraph:
         return weights
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse, naming the field, a value that cannot slice or count steps."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SummaryConfig:
     """Summarizer knobs: size, the centrality/guidance weighting and the graph."""
@@ -85,6 +94,8 @@ class SummaryConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
+        check_integer("size", self.size)
+        check_integer("max_iterations", self.max_iterations)
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         if not (self.alpha >= 0 and self.beta >= 0 and math.isfinite(self.alpha + self.beta)):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bm25 import Bm25Index, Bm25Params, build_index
 from .corpus import AppealRecord, ThemeCatalog, write_records
-from .lexrank import SentenceAnalysis, SummaryConfig, select_top, summarize
+from .lexrank import SentenceAnalysis, SummaryConfig, check_integer, select_top, summarize
 from .similarity import EmbeddingCosine, TfidfCosine, load_embeddings, score_by_bm25
 from .similarity import cosine, tfidf_vectors  # noqa: F401  perfbench/spans.py wraps them here
 from .textproc import PreprocessConfig, extract_core, remove_noise, segment_sentences, tokenize
@@ -59,6 +59,7 @@ class PipelineConfig:
                 f"similarity_method must be one of {SIMILARITY_METHODS}, "
                 f"got {self.similarity_method!r}"
             )
+        check_integer("k", self.k)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.representation == "guided_lexrank" and self.summary.alpha + self.summary.beta <= 0:

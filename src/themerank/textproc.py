@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -108,14 +108,10 @@ def default_removal_rules() -> tuple[RemovalRule, ...]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a stopword file: one word per line, # starts a comment. Entries
-    are stored NFC-normalised in their own case; matching folds case."""
-    words = set()
+    keep their case; the config normalises them and matching folds case."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            word = line.split("#", 1)[0].strip()
-            if word:
-                words.add(unicodedata.normalize("NFC", word))
-    return frozenset(words)
+        words = (line.split("#", 1)[0].strip() for line in handle)
+        return frozenset(filter(None, words))
 
 
 @lru_cache(maxsize=1)
@@ -125,6 +121,12 @@ def default_stopwords() -> frozenset[str]:
         return load_stopwords(path)
 
 
+def abbreviation_key(entry: str) -> str:
+    """The form an abbreviation is guarded in and a token is looked up by:
+    NFC, lowercase, without trailing terminals."""
+    return unicodedata.normalize("NFC", entry).lower().rstrip(TERMINALS)
+
+
 @dataclass(frozen=True)
 class PreprocessConfig:
     """Noise-removal settings shared by the whole pipeline.
@@ -132,6 +134,9 @@ class PreprocessConfig:
     ``remove_terms`` is the with/without-removal experiment axis; when false
     :func:`remove_noise` is the identity. Patterns run in declared order,
     stopword matching is case-insensitive and whole-word.
+
+    Each collection field takes any iterable and is stored frozen, stopwords
+    NFC-normalised and abbreviations keyed; a bad entry fails construction.
     """
 
     remove_terms: bool = True
@@ -140,12 +145,27 @@ class PreprocessConfig:
     core_start_markers: tuple[str, ...] = ()
     core_end_markers: tuple[str, ...] = ()
     abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
+    folded_stopwords: frozenset[str] = field(init=False, compare=False, repr=False)
+    _SET_KEYS = {"stopwords": partial(unicodedata.normalize, "NFC"), "abbreviations": abbreviation_key}
 
     def __post_init__(self):
-        # the config keys the per-appeal memo and the stopword cache: a set
-        # left unfrozen would fail every appeal of a batch as unhashable
-        object.__setattr__(self, "stopwords", frozenset(self.stopwords))
-        object.__setattr__(self, "abbreviations", frozenset(self.abbreviations))
+        names = ("stopwords", "removal_patterns", "core_start_markers", "core_end_markers", "abbreviations")
+        for name in names:
+            value, kind = getattr(self, name), RemovalRule if name == "removal_patterns" else str
+            if isinstance(value, str):  # iterated, it would be one-character entries
+                raise ValueError(f"{name} must be a collection, got the string {value!r}")
+            entries = tuple(value)
+            if wrong := [entry for entry in entries if not isinstance(entry, kind)]:
+                raise ValueError(f"{name} entries must be {kind.__name__}, got {wrong[0]!r}")
+            if name in self._SET_KEYS:
+                entries = frozenset(map(self._SET_KEYS[name], entries))
+            # a field given in normal form keeps its object: configs made by
+            # replace share it, and the per-appeal memo compares by identity
+            if type(value) is not type(entries) or value != entries:
+                object.__setattr__(self, name, entries)
+        if wrong := sorted(word for word in self.stopwords if not word.isalnum()):
+            raise ValueError(f"stopword {wrong[0]!r} is not one word (a run of letters and digits)")
+        object.__setattr__(self, "folded_stopwords", frozenset(map(fold, self.stopwords)))
 
 
 def extract_core(raw_text: str, config: PreprocessConfig | None = None) -> str:
@@ -179,12 +199,6 @@ def extract_core(raw_text: str, config: PreprocessConfig | None = None) -> str:
 
     core = raw_text[start_at[1] : end_at]
     return core if core.strip() else raw_text
-
-
-def abbreviation_key(entry: str) -> str:
-    """The form an abbreviation is guarded in and a token is looked up by:
-    NFC, lowercase, without trailing terminals."""
-    return unicodedata.normalize("NFC", entry).lower().rstrip(TERMINALS)
 
 
 def segment_sentences(
@@ -274,16 +288,6 @@ def fold(word: str) -> str:
     return word.translate(_FOLD).lower()
 
 
-@lru_cache(maxsize=16)
-def folded_stopwords(words: frozenset[str]) -> frozenset[str]:
-    r"""The folds of a stopword set. Each entry must be one word, a run of
-    ``[^\W_]`` (``str.isalnum``); ValueError names the first that is not."""
-    for word in sorted(words):
-        if not word.isalnum():
-            raise ValueError(f"stopword {word!r} is not one word (a run of letters and digits)")
-    return frozenset(map(fold, words))
-
-
 def remove_noise(text: str, config: PreprocessConfig) -> str:
     """Strip noise patterns and stopwords when removal is enabled.
 
@@ -297,7 +301,7 @@ def remove_noise(text: str, config: PreprocessConfig) -> str:
     cleaned = unicodedata.normalize("NFC", text)
     for rule in config.removal_patterns:
         cleaned = rule.pattern.sub(" ", cleaned)
-    stopwords = folded_stopwords(config.stopwords)
+    stopwords = config.folded_stopwords
     # str.split() splits at runs of str.isspace, which is re's \s
     if not stopwords:
         return " ".join(cleaned.split())

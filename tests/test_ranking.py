@@ -29,7 +29,7 @@ from themerank.ranking import (
     write_rankings,
 )
 from themerank.similarity import EmbeddingTable
-from themerank.textproc import PreprocessConfig, segment_sentences, tokenize
+from themerank.textproc import PreprocessConfig, default_removal_rules, segment_sentences, tokenize
 from themerank.lexrank import SummaryConfig, summarize
 
 
@@ -46,6 +46,28 @@ SEVEN_THEMES = catalog_of(
     ("T6", "multa administrativa trânsito"),
     ("T7", "benefício assistencial deficiência"),
 )
+
+# preprocess fields in normal form, and appeals that each of them changes:
+# core markers, digit runs, the guard on "Art." and the stopword "é"
+NORMAL_FIELDS = dict(
+    stopwords=frozenset({"a", "o", "é"}),
+    removal_patterns=default_removal_rules(),
+    core_start_markers=("DAS RAZÕES",),
+    core_end_markers=("DO PEDIDO",),
+    abbreviations=frozenset({"art", "fls"}),
+)
+MARKED_APPEALS = [
+    AppealRecord(
+        "A1",
+        "Processo 2019. DAS RAZÕES A execução fiscal é antiga. Veja o Art. 5 da lei de 1990. "
+        "Há prescrição intercorrente. DO PEDIDO Multa de trânsito.",
+    ),
+    AppealRecord(
+        "A2",
+        "DAS RAZÕES Os honorários advocatícios é que pesam. Fls. 12 mostram a sucumbência. "
+        "O dano moral é pedido. DO PEDIDO Benefício assistencial.",
+    ),
+]
 
 PLAIN_CONFIG = PipelineConfig(
     preprocess=PreprocessConfig(remove_terms=False),
@@ -149,6 +171,20 @@ class TestClassifyAppeal:
     def test_guided_without_alpha_beta_invalid(self):
         with pytest.raises(ValueError, match="alpha \\+ beta > 0"):
             PipelineConfig(summary=SummaryConfig(alpha=0.0, beta=0.0))
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: PipelineConfig(k=2.5), "k"),
+            (lambda: SummaryConfig(size=2.5), "size"),
+            (lambda: SummaryConfig(size="15"), "size"),
+            (lambda: SummaryConfig(centrality="continuous", max_iterations=2.5), "max_iterations"),
+        ],
+    )
+    def test_non_integer_count_refused_at_construction(self, make, name):
+        # it would fail as a slice bound or a range in every appeal of the batch
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            make()
 
     def test_summary_cells_summarize_once(self, monkeypatch):
         calls = []
@@ -306,17 +342,59 @@ class TestClassifyCorpus:
         assert [r.appeal_id for r in results] == ["A1", "A3"]
         assert len(failures) == 1 and "A2" in failures[0]
 
-
-    def test_set_valued_preprocess_fields_are_frozen(self):
-        # a set left in the config would make it unhashable: it keys the
-        # per-appeal memo and the stopword cache
-        appeals = [AppealRecord("A1", "O art. 5 trata da prescrição intercorrente. A execução fiscal parou.")]
-        frozen = PreprocessConfig(stopwords=frozenset({"o", "a", "da"}), abbreviations=frozenset({"art"}))
-        given = PreprocessConfig(stopwords={"o", "a", "da"}, abbreviations={"art"})
-        assert given == frozen
-        expected = classify_corpus(appeals, SEVEN_THEMES, PipelineConfig(preprocess=frozen))
-        assert expected[1] == []
-        assert classify_corpus(appeals, SEVEN_THEMES, PipelineConfig(preprocess=given)) == expected
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            pytest.param(
+                dict(
+                    stopwords=["a", "o", "é"],
+                    removal_patterns=list(default_removal_rules()),
+                    core_start_markers=["DAS RAZÕES"],
+                    core_end_markers=["DO PEDIDO"],
+                    abbreviations=["art", "fls"],
+                ),
+                id="lists",
+            ),
+            pytest.param(
+                dict(
+                    stopwords={"a", "o", "é"},
+                    removal_patterns=iter(default_removal_rules()),  # ordered: not a set
+                    core_start_markers={"DAS RAZÕES"},
+                    core_end_markers={"DO PEDIDO"},
+                    abbreviations={"art", "fls"},
+                ),
+                id="sets",
+            ),
+            pytest.param(
+                dict(
+                    stopwords=("a", "o", "é"),
+                    core_start_markers=("DAS RAZÕES",),
+                    core_end_markers=("DO PEDIDO",),
+                    abbreviations=("art", "fls"),
+                ),
+                id="tuples",
+            ),
+            pytest.param(dict(NORMAL_FIELDS, abbreviations=("Art.", "FLS.")), id="unkeyed-abbreviations"),
+            # é as e + U+0301, which composes alike under Unicode 13.0 and 14.0
+            pytest.param(dict(NORMAL_FIELDS, stopwords={"a", "o", "e\u0301"}), id="decomposed-stopword"),
+        ],
+    )
+    def test_config_built_in_code_runs_as_its_normal_form(self, fields):
+        # the config settles its own fields: built from any collections, it
+        # equals the normal form and ranks alike, in a worker process too
+        normal = PreprocessConfig(**NORMAL_FIELDS)
+        given = PreprocessConfig(**fields)
+        assert given == normal
+        assert given.folded_stopwords == normal.folded_stopwords == frozenset({"a", "o", "é"})
+        # sets in normal form are kept: a grid's cells share them
+        cell = replace(given, remove_terms=False)
+        assert cell.stopwords is given.stopwords and cell.abbreviations is given.abbreviations
+        expected = classify_corpus(MARKED_APPEALS, SEVEN_THEMES, PipelineConfig(preprocess=normal))
+        assert expected[1] == [] and len(expected[0]) == 2
+        config = PipelineConfig(preprocess=given)
+        assert classify_corpus(MARKED_APPEALS, SEVEN_THEMES, config) == expected
+        outcome = classify_grid(MARKED_APPEALS, SEVEN_THEMES, [config], parallel=2)[0]
+        assert (outcome.results, outcome.failures) == expected
 
     def test_memory_error_is_a_per_appeal_failure(self, monkeypatch):
         classify = ranking.classify_appeal

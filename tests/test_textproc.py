@@ -219,6 +219,21 @@ class TestRemoveNoise:
         with pytest.raises(ValueError, match="broken"):
             RemovalRule.compile("broken", "[unclosed")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"removal_patterns": [r"\d+"]}, "removal_patterns entries must be RemovalRule, got"),
+            ({"core_start_markers": "DAS RAZÕES"}, "core_start_markers must be a collection, got the string"),
+            ({"abbreviations": "art"}, "abbreviations must be a collection, got the string 'art'"),
+            ({"core_end_markers": ("FIM", 5)}, "core_end_markers entries must be str, got 5"),
+        ],
+    )
+    def test_misshapen_field_refused_at_construction(self, fields, message):
+        # a raw regex would fail every appeal; a bare string would run as
+        # one-character entries
+        with pytest.raises(ValueError, match=message):
+            PreprocessConfig(**fields)
+
     def test_pattern_order_is_declared_order(self):
         first = RemovalRule.compile("grab_all", r"x\d+")
         second = RemovalRule.compile("never_sees_digits", r"\d+")
@@ -334,9 +349,8 @@ class TestLinearKernelsMatchOracles:
     def test_entry_that_is_not_one_word_refused(self, entry):
         # entries are single [^\W_]+ words: one that spans punctuation, or
         # holds none, is refused rather than matched across a separator
-        config = PreprocessConfig(stopwords=frozenset({entry, "d", "s"}), removal_patterns=())
         with pytest.raises(ValueError, match="is not one word"):
-            remove_noise("d'água c/ s.x", config)
+            PreprocessConfig(stopwords=frozenset({entry, "d", "s"}), removal_patterns=())
 
     def test_hundreds_of_nested_prefixes_match_alternation(self):
         words = frozenset("a" * i for i in range(1, 1000))
