@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import yaml
 
@@ -71,13 +71,58 @@ OVERRIDE_PATHS: dict[str, tuple[str, ...]] = {
 }
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _or_null(shape: str, fits: Callable[[Any], bool]) -> tuple[str, Callable[[Any], bool]]:
+    return f"{shape} or null", lambda value: value is None or fits(value)
+
+
+# What a value must hold: by the type of its default, or by its key where the
+# default is null or a list. A string where a list is due would be iterated
+# into one-character markers or abbreviations.
+_TYPE_SHAPES = {
+    bool: ("true or false", lambda value: isinstance(value, bool)),
+    int: ("an integer", lambda value: _number(value) and isinstance(value, int)),
+    float: ("a number", _number),
+    str: ("a string", lambda value: isinstance(value, str)),
+}
+_KEY_SHAPES = {
+    "embeddings": _or_null("a file path", lambda value: isinstance(value, str)),
+    "preprocess.stopwords": _or_null("a file path", lambda value: isinstance(value, str)),
+    "preprocess.removal_patterns": _or_null("a list", lambda value: isinstance(value, list)),
+    "preprocess.core_start_markers": _or_null("a list of strings", _strings),
+    "preprocess.core_end_markers": _or_null("a list of strings", _strings),
+    "preprocess.abbreviations": _or_null("a list of strings", _strings),
+}
+
+
+def _merge(defaults: dict, loaded: dict, path: str, prefix: str = "") -> dict:
+    """The defaults with the file's values laid over them. Walks the file's
+    keys in its order and names the first unknown key, section that is not a
+    mapping, grid axis that is not a list or value of the wrong shape."""
+    merged = copy.deepcopy(defaults)
+    for key, value in loaded.items():
+        name = f"{prefix}{key}"
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown key {name!r}")
+        if isinstance(defaults[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{path}: {name!r} must be a mapping, got {value!r}")
+            value = _merge(defaults[key], value, path, f"{name}.")
+        elif prefix == "grid.":
+            if not isinstance(value, list):
+                raise ConfigError(f"{path}: grid axis {key!r} must be a list, got {value!r}")
         else:
-            merged[key] = value
+            shape, fits = _KEY_SHAPES.get(name) or _TYPE_SHAPES[type(defaults[key])]
+            if not fits(value):
+                raise ConfigError(f"{path}: {name!r} must be {shape}, got {value!r}")
+        merged[key] = value
     return merged
 
 
@@ -96,75 +141,7 @@ def load_run_config(path: str | None = None) -> dict[str, Any]:
         loaded = {}
     if not isinstance(loaded, dict):
         raise ConfigError(f"{path}: config root must be a mapping")
-    merged = _deep_merge(DEFAULT_CONFIG, loaded)
-    _check_shapes(merged, path)
-    return merged
-
-
-def _scalar_shape(default: Any) -> tuple[str, Any] | None:
-    """What a scalar key must hold, by the type of its default; None for
-    lists and null defaults, which have shapes of their own."""
-    if isinstance(default, bool):
-        return "true or false", lambda value: isinstance(value, bool)
-    if isinstance(default, int):
-        return "an integer", lambda value: isinstance(value, int) and not isinstance(value, bool)
-    if isinstance(default, float):
-        return "a number", lambda value: (
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-        )
-    if isinstance(default, str):
-        return "a string", lambda value: isinstance(value, str)
-    return None
-
-
-def _check_keys(config: dict, defaults: dict, path: str, prefix: str = "") -> None:
-    """Every key is one the defaults hold, every section the defaults hold
-    as a mapping is a mapping, and every scalar is of its default's type."""
-    for key, value in config.items():
-        name = f"{prefix}{key}"
-        if key not in defaults:
-            raise ConfigError(f"{path}: unknown key {name!r}")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}: {name!r} must be a mapping, got {value!r}")
-            _check_keys(value, defaults[key], path, f"{name}.")
-            continue
-        shape = _scalar_shape(defaults[key])
-        if shape is not None and not shape[1](value):
-            raise ConfigError(f"{path}: {name!r} must be {shape[0]}, got {value!r}")
-
-
-def _strings(value: Any) -> bool:
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
-
-
-# The shape of each value with a null default besides null: a string where a
-# list is due would be iterated into one-character markers or abbreviations.
-_NULLABLE_SHAPES = {
-    ("embeddings",): ("a file path", lambda value: isinstance(value, str)),
-    ("preprocess", "stopwords"): ("a file path", lambda value: isinstance(value, str)),
-    ("preprocess", "removal_patterns"): ("a list", lambda value: isinstance(value, list)),
-    ("preprocess", "core_start_markers"): ("a list of strings", _strings),
-    ("preprocess", "core_end_markers"): ("a list of strings", _strings),
-    ("preprocess", "abbreviations"): ("a list of strings", _strings),
-}
-
-
-def _check_shapes(config: dict[str, Any], path: str) -> None:
-    """Keys, sections and scalars as the defaults hold them, every grid axis
-    a list and every nullable value of its shape, so that a misshapen value
-    is named, not iterated or converted."""
-    _check_keys(config, DEFAULT_CONFIG, path)
-    for axis, value in config["grid"].items():
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: grid axis {axis!r} must be a list, got {value!r}")
-    for keys, (shape, fits) in _NULLABLE_SHAPES.items():
-        value = config
-        for key in keys:
-            value = value[key]
-        if value is not None and not fits(value):
-            name = ".".join(keys)
-            raise ConfigError(f"{path}: {name!r} must be {shape} or null, got {value!r}")
+    return _merge(DEFAULT_CONFIG, loaded, path)
 
 
 def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[str, Any]:

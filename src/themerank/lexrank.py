@@ -15,7 +15,6 @@ several sizes and weights can share one analysis.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -73,11 +72,10 @@ class SentenceGraph:
 
 
 def check_integer(name: str, value) -> None:
-    """Refuse, naming the field, a value that cannot slice or count steps."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """Refuse, naming the field, a value that cannot slice or count steps,
+    and a bool, which can but is a switch, not a count."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

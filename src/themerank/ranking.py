@@ -125,11 +125,11 @@ class AppealAnalysis:
         self.cleaned = remove_noise(core, preprocess)
         if not self.cleaned.strip():
             raise PipelineError("text empty after preprocessing")
-        self.abbreviations = preprocess.abbreviations
+        self.preprocess = preprocess
 
     @cached_property
     def sentences(self) -> SentenceAnalysis:
-        return SentenceAnalysis(segment_sentences(self.cleaned, self.abbreviations))
+        return SentenceAnalysis(segment_sentences(self.cleaned, self.preprocess))
 
 
 def _scores(
@@ -176,23 +176,24 @@ def classify_appeal(
     catalog: ThemeCatalog,
     config: PipelineConfig,
     prepared: PreparedThemes | None = None,
-    memo: dict[PreprocessConfig, AppealAnalysis] | None = None,
+    memo: list[AppealAnalysis] | None = None,
 ) -> RankedThemeList:
     """Rank every theme for one appeal and truncate to the top k.
 
     Scores sort descending with ties broken by ascending theme id; scores of
     0 against every theme would rank the first k ids, so they fail. ``memo``
     serves one appeal and holds its analysis under the last preprocess
-    config asked for: consecutive calls for configs that share a preprocess
-    config analyse the appeal once, and a memo never holds two analyses.
+    config asked for: consecutive calls for configs with equal preprocess
+    configs analyse the appeal once, and a memo never holds two analyses.
     """
     if prepared is None:
         prepared = prepare_themes(catalog, config)
-    memo = {} if memo is None else memo
-    analysis = memo.get(config.preprocess)
-    if analysis is None:
-        memo.clear()
-        analysis = memo[config.preprocess] = AppealAnalysis(appeal, config.preprocess)
+    memo = [] if memo is None else memo
+    # compared, not hashed: equality checks the fields that replace shares
+    # between configs by identity first
+    if not memo or memo[0].preprocess != config.preprocess:
+        memo[:] = [AppealAnalysis(appeal, config.preprocess)]
+    analysis = memo[0]
     scores = _scores(appeal, analysis, config, prepared)
     if not scores.any():
         raise PipelineError("scores 0 against every theme")
@@ -206,7 +207,7 @@ def _classify_safely(appeal, catalog, configs, prepared) -> list[tuple[str, obje
     (status, ranking or failure message, seconds) per config. A failure is
     the appeal's under that config alone; its message is the appeal id and
     the error, which does not name the appeal again."""
-    memo: dict = {}
+    memo: list = []
     outcomes = []
     for config, themes in zip(configs, prepared):
         start = time.perf_counter()

@@ -201,14 +201,12 @@ def extract_core(raw_text: str, config: PreprocessConfig | None = None) -> str:
     return core if core.strip() else raw_text
 
 
-def segment_sentences(
-    text: str, abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
-) -> list[str]:
+def segment_sentences(text: str, config: PreprocessConfig) -> list[str]:
     """Split text into sentences at terminal punctuation, in document order.
 
     A split happens after a run of ``. ! ? …`` followed by whitespace and an
-    uppercase letter or digit, unless the token carrying the punctuation is an
-    abbreviation from the guard list. Sentences are stripped and empty
+    uppercase letter or digit, unless the token carrying the punctuation is
+    one of the config's abbreviations. Sentences are stripped and empty
     fragments dropped.
     """
     if not text:
@@ -222,7 +220,7 @@ def segment_sentences(
             i = t = run.start()
             while t > 0 and not text[t - 1].isspace():
                 t -= 1
-            if abbreviation_key(text[t:i]) not in abbreviations:
+            if abbreviation_key(text[t:i]) not in config.abbreviations:
                 piece = text[start:j].strip()
                 if piece:
                     sentences.append(piece)

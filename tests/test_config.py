@@ -28,6 +28,14 @@ from themerank.ranking import PipelineConfig
 from themerank.textproc import load_stopwords, remove_noise, segment_sentences, tokenize
 
 
+def _leaf_paths(mapping, prefix=()):
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
 class TestLoadRunConfig:
     def test_defaults_without_file(self):
         config = load_run_config(None)
@@ -118,7 +126,7 @@ class TestLoadRunConfig:
         preprocess = build_preprocess(load_run_config(str(path)))
         assert "art" in preprocess.abbreviations
         text = "Conforme o Art. 5 da lei. Fim."
-        assert segment_sentences(text, preprocess.abbreviations) == [
+        assert segment_sentences(text, preprocess) == [
             "Conforme o Art. 5 da lei.",
             "Fim.",
         ]
@@ -146,6 +154,7 @@ class TestLoadRunConfig:
             ("summary:\n  treshold: 0.2\n", "summary.treshold"),
             ("representations: [lexrank]\n", "representations"),
             ("appeal_columns:\n  label: theme\n", "appeal_columns.label"),
+            ("kk: 6\nk: 6.5\n", "kk"),  # the first fault in file order
         ],
     )
     def test_unknown_key_named(self, tmp_path, body, key):
@@ -172,6 +181,19 @@ class TestLoadRunConfig:
         path.write_text(body, encoding="utf-8")
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_run_config(str(path))
+
+    @pytest.mark.parametrize("keys", list(_leaf_paths(DEFAULT_CONFIG)), ids=".".join)
+    def test_every_key_has_a_shape_its_default_fits(self, tmp_path, keys):
+        # a key with no shape would fail its first load with a KeyError
+        default = DEFAULT_CONFIG
+        for key in keys:
+            default = default[key]
+        body = default
+        for key in reversed(keys):
+            body = {key: body}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(body), encoding="utf-8")
+        assert load_run_config(str(path)) == DEFAULT_CONFIG
 
     def test_int_accepted_where_a_float_is_due(self, tmp_path):
         path = tmp_path / "run.yaml"

@@ -161,12 +161,12 @@ class TestClassifyAppeal:
     def test_memo_holds_the_last_analysis_only(self):
         appeal = AppealRecord("A1", "Discute-se a prescrição intercorrente na execução fiscal.")
         removing = replace(PLAIN_CONFIG, preprocess=PreprocessConfig(remove_terms=True))
-        memo = {}
+        memo = []
         for config in (PLAIN_CONFIG, removing, removing):
             assert classify_appeal(appeal, SEVEN_THEMES, config, memo=memo) == classify_appeal(
                 appeal, SEVEN_THEMES, config
             )
-        assert list(memo) == [removing.preprocess]
+        assert [analysis.preprocess for analysis in memo] == [removing.preprocess]
 
     def test_guided_without_alpha_beta_invalid(self):
         with pytest.raises(ValueError, match="alpha \\+ beta > 0"):
@@ -179,10 +179,12 @@ class TestClassifyAppeal:
             (lambda: SummaryConfig(size=2.5), "size"),
             (lambda: SummaryConfig(size="15"), "size"),
             (lambda: SummaryConfig(centrality="continuous", max_iterations=2.5), "max_iterations"),
+            pytest.param(lambda: PipelineConfig(k=True), "k", id="bool-k"),
         ],
     )
     def test_non_integer_count_refused_at_construction(self, make, name):
-        # it would fail as a slice bound or a range in every appeal of the batch
+        # it would fail as a slice bound or a range in every appeal of the
+        # batch; a bool would count as 1
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             make()
 
@@ -486,7 +488,7 @@ class TestSummaryTokens:
         prepared = prepare_themes(SEVEN_THEMES, config)
         theme_index = prepared.index if representation == "guided_lexrank" else None
         summary = summarize(analysis.sentences, config.summary, theme_index)
-        texts = segment_sentences(analysis.cleaned, analysis.abbreviations)
+        texts = segment_sentences(analysis.cleaned, analysis.preprocess)
         tokens = tokenize(" ".join(texts[i] for i in sorted(summary)))
         if not tokens:
             with pytest.raises(PipelineError, match="no tokens"):

@@ -148,31 +148,36 @@ class TestTermCounts:
 
 class TestSegmentSentences:
     def test_two_plain_sentences(self):
-        parts = segment_sentences("Primeira frase. Segunda frase.")
+        parts = segment_sentences("Primeira frase. Segunda frase.", PreprocessConfig())
         assert parts == ["Primeira frase.", "Segunda frase."]
 
     def test_abbreviation_guard(self):
         for guarded in ["art.", "Art.", "art..", "fls.!", "nº…"]:
-            parts = segment_sentences(f"Conforme {guarded} 40 da lei. Outro ponto.")
+            parts = segment_sentences(f"Conforme {guarded} 40 da lei. Outro ponto.", PreprocessConfig())
             assert parts == [f"Conforme {guarded} 40 da lei.", "Outro ponto."], guarded
+
+    def test_unkeyed_abbreviation_guards(self):
+        # the config keys its entries, so an entry written as it appears guards
+        config = PreprocessConfig(abbreviations={"Art."})
+        assert segment_sentences("Veja o Art. 5 da lei.", config) == ["Veja o Art. 5 da lei."]
 
     def test_no_terminal_punctuation(self):
         text = "texto sem pontuação final"
-        parts = segment_sentences(text)
+        parts = segment_sentences(text, PreprocessConfig())
         assert parts == [text]
 
     def test_split_requires_uppercase_or_digit(self):
-        parts = segment_sentences("Valor de 1.5. e depois nada")
+        parts = segment_sentences("Valor de 1.5. e depois nada", PreprocessConfig())
         assert len(parts) == 1
 
     def test_digit_starts_sentence(self):
-        parts = segment_sentences("Fim da primeira. 40 dias depois veio outra.")
+        parts = segment_sentences("Fim da primeira. 40 dias depois veio outra.", PreprocessConfig())
         assert len(parts) == 2
 
     @given(st.text(min_size=1, max_size=300))
     @settings(max_examples=200)
     def test_preserves_non_whitespace_characters(self, text):
-        joined = " ".join(segment_sentences(text))
+        joined = " ".join(segment_sentences(text, PreprocessConfig()))
         assert "".join(joined.split()) == "".join(text.split())
 
 
@@ -376,7 +381,8 @@ class TestLinearKernelsMatchOracles:
     )
     @settings(max_examples=600, deadline=None)
     def test_segmentation_matches_character_loop(self, text, abbreviations):
-        assert segment_sentences(text, abbreviations) == segment_sentences_brute(text, abbreviations)
+        config = PreprocessConfig(abbreviations=abbreviations)
+        assert segment_sentences(text, config) == segment_sentences_brute(text, abbreviations)
 
 
 # Pieces around every edge of the default rules: ASCII and non-ASCII digits
