@@ -126,25 +126,11 @@ def _merged_config(args) -> dict:
     return cfgmod.apply_overrides(cfgmod.load_run_config(args.config), overrides)
 
 
-def _load_appeals(args, merged: dict):
-    columns = merged["appeal_columns"]
-    return corpusmod.load_appeals(
-        args.appeals,
-        delimiter=merged["delimiter"],
-        id_col=columns["id"],
-        text_col=columns["text"],
-        theme_col=columns["theme"],
-    )
-
-
-def _load_themes(args, merged: dict):
-    columns = merged["theme_columns"]
-    return corpusmod.load_themes(
-        args.themes,
-        delimiter=merged["delimiter"],
-        id_col=columns["id"],
-        text_col=columns["text"],
-    )
+def _load_corpus(loader, path: str, merged: dict, section: str):
+    """Read a corpus file with the run file's delimiter and the columns its
+    ``appeal_columns`` or ``theme_columns`` section names."""
+    columns = {f"{role}_col": name for role, name in merged[section].items()}
+    return loader(path, delimiter=merged["delimiter"], **columns)
 
 
 def _outdir(args) -> Path | None:
@@ -180,12 +166,12 @@ def cmd_classify(args) -> int:
     merged = _merged_config(args)
     pipeline = build_pipeline(merged)
     outdir = _outdir(args)
-    catalog = _load_themes(args, merged)
+    catalog = _load_corpus(corpusmod.load_themes, args.themes, merged, "theme_columns")
 
     if args.text is not None:
         appeals = [corpusmod.AppealRecord(id="inline", raw_text=args.text)]
     elif args.appeals:
-        appeals = _load_appeals(args, merged)
+        appeals = _load_corpus(corpusmod.load_appeals, args.appeals, merged, "appeal_columns")
         if args.appeal_id is not None:
             appeals = [a for a in appeals if a.id == args.appeal_id]
             if not appeals:
@@ -235,8 +221,8 @@ def cmd_evaluate(args) -> int:
     merged = _merged_config(args)
     pipeline = build_pipeline(merged)
     outdir = _outdir(args)
-    catalog = _load_themes(args, merged)
-    appeals = _load_appeals(args, merged)
+    catalog = _load_corpus(corpusmod.load_themes, args.themes, merged, "theme_columns")
+    appeals = _load_corpus(corpusmod.load_appeals, args.appeals, merged, "appeal_columns")
 
     started = time.perf_counter()
     results, failures = classify_corpus(appeals, catalog, pipeline, parallel=args.parallel)
@@ -301,8 +287,8 @@ def cmd_grid(args) -> int:
     # a bad cell value fails here
     configs = [cell_config(base, cell) for cell in build_grid(merged).cells()]
     outdir = _outdir(args)
-    catalog = _load_themes(args, merged)
-    appeals = _load_appeals(args, merged)
+    catalog = _load_corpus(corpusmod.load_themes, args.themes, merged, "theme_columns")
+    appeals = _load_corpus(corpusmod.load_appeals, args.appeals, merged, "appeal_columns")
 
     print(f"grid: {len(configs)} cells over {len(appeals)} appeals", file=sys.stderr)
     outcomes = classify_grid(appeals, catalog, configs, args.parallel)

@@ -15,14 +15,7 @@ import yaml
 from .bm25 import Bm25Params
 from .lexrank import SummaryConfig
 from .ranking import PipelineConfig
-from .textproc import (
-    DEFAULT_ABBREVIATIONS,
-    PreprocessConfig,
-    RemovalRule,
-    default_removal_rules,
-    default_stopwords,
-    load_stopwords,
-)
+from .textproc import PreprocessConfig, RemovalRule, load_stopwords
 
 
 class ConfigError(ValueError):
@@ -126,13 +119,32 @@ def _merge(defaults: dict, loaded: dict, path: str, prefix: str = "") -> dict:
     return merged
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _RunFileLoader(yaml.SafeLoader):
+    """A SafeLoader that refuses a key written twice in one mapping; a key
+    that a merge (``<<``) brings in may be written out again."""
+
+    def compose_node(self, parent, index):
+        node = super().compose_node(parent, index)
+        # keys are composed in file order, each with index None; a scalar key
+        # is told by its resolved tag and text, exact for a run file's strings
+        is_key = index is None and isinstance(parent, yaml.MappingNode)
+        if is_key and isinstance(node, yaml.ScalarNode) and node.tag != _MERGE_TAG:
+            if any((key.tag, key.value) == (node.tag, node.value) for key, _ in parent.value):
+                mark = node.start_mark
+                raise ConfigError(f"{mark.name}: key {node.value!r} written twice, again on line {mark.line + 1}")
+        return node
+
+
 def load_run_config(path: str | None = None) -> dict[str, Any]:
     """Read the run file (YAML, of which JSON is a subset) over the defaults."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
         with open(path, encoding="utf-8") as handle:
-            loaded = yaml.safe_load(handle)
+            loaded = yaml.load(handle, Loader=_RunFileLoader)
     except FileNotFoundError:
         raise FileNotFoundError(f"config file not found: {path}") from None
     except yaml.YAMLError as exc:
@@ -159,14 +171,15 @@ def apply_overrides(config: dict[str, Any], overrides: dict[str, Any]) -> dict[s
 
 
 def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
+    """The preprocess section as a PreprocessConfig; a null setting, and no
+    stopword file, leave the field at the dataclass default."""
     section = config["preprocess"]
-    stopword_path = section["stopwords"]
-    raw_patterns = section["removal_patterns"]
-    if raw_patterns is None:
-        patterns = default_removal_rules()
-    else:
+    names = ("core_start_markers", "core_end_markers", "abbreviations", "removal_patterns")
+    settings = {name: section[name] for name in names if section[name] is not None}
+    settings["remove_terms"] = bool(section["remove_terms"])
+    if "removal_patterns" in settings:
         patterns = []
-        for entry in raw_patterns:
+        for entry in settings["removal_patterns"]:
             if not (
                 isinstance(entry, dict)
                 and isinstance(entry.get("name"), str)
@@ -180,20 +193,15 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
                 patterns.append(RemovalRule.compile(entry["name"], entry["pattern"]))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-
-    abbreviations = section["abbreviations"]
+        settings["removal_patterns"] = patterns
+    stopword_path = section["stopwords"]
+    if stopword_path:
+        settings["stopwords"] = load_stopwords(stopword_path)
     try:
-        return PreprocessConfig(
-            remove_terms=bool(section["remove_terms"]),
-            stopwords=load_stopwords(stopword_path) if stopword_path else default_stopwords(),
-            removal_patterns=patterns,
-            core_start_markers=section["core_start_markers"] or (),
-            core_end_markers=section["core_end_markers"] or (),
-            abbreviations=DEFAULT_ABBREVIATIONS if abbreviations is None else abbreviations,
-        )
+        return PreprocessConfig(**settings)
     except ValueError as exc:
-        # the file's shapes are checked, so only a stopword entry is left to refuse
-        raise ConfigError(f"{stopword_path}: {exc}") from exc
+        # a run file's shapes are checked, so there only a stopword entry is left to refuse
+        raise ConfigError(f"{stopword_path}: {exc}" if stopword_path else str(exc)) from exc
 
 
 def report_fields(pipeline: PipelineConfig) -> tuple[str, str, str, str]:

@@ -1026,6 +1026,61 @@ class TestBadConfig:
         )
         assert code == 1 and "parse" in err
 
+    def test_key_written_twice_fails_before_any_corpus_is_read(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text('{"k": 3, "k": 5}', encoding="utf-8")
+        missing = str(tmp_path / "missing.csv")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--appeals", missing, "--themes", missing, "--config", str(config)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}: key 'k' written twice, again on line 1\n"
+
+
+def _semicolon_copy(source: Path, target: Path, names: dict) -> None:
+    """Rewrite a comma corpus file split by ';', its columns reversed and renamed."""
+    with open(source, encoding="utf-8", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    order = list(names)[::-1]
+    with open(target, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, delimiter=";")
+        writer.writerow([names[column] for column in order])
+        writer.writerows([row[column] for column in order] for row in rows)
+
+
+class TestRunFileColumns:
+    @pytest.mark.parametrize("command", ["evaluate", "grid"])
+    def test_delimiter_and_columns_from_the_run_file(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, command
+    ):
+        appeals, themes = tmp_path / "recursos.csv", tmp_path / "temas.csv"
+        _semicolon_copy(tiny_appeals_file, appeals, {"id": "num", "text": "corpo", "theme": "tema"})
+        _semicolon_copy(tiny_themes_file, themes, {"id": "codigo", "text": "descricao"})
+        grid = "grid:\n  representations: [lexrank, fulltext]\n  summary_sizes: [1]\n"
+        runs = {
+            "default": (tiny_appeals_file, tiny_themes_file, grid),
+            "renamed": (
+                appeals,
+                themes,
+                grid + "delimiter: ';'\n"
+                "appeal_columns: {id: num, text: corpo, theme: tema}\n"
+                "theme_columns: {id: codigo, text: descricao}\n",
+            ),
+        }
+        written = {}
+        for name, (appeals_path, themes_path, body) in runs.items():
+            config, outdir = tmp_path / f"{name}.yaml", tmp_path / name
+            config.write_text(body, encoding="utf-8")
+            code, _, _ = run_cli(
+                capsys, command, "--appeals", str(appeals_path), "--themes", str(themes_path),
+                "--config", str(config), "--out", str(outdir),
+            )
+            assert code == 0
+            files = sorted(outdir.glob("rankings*.csv")) + sorted(outdir.glob("metrics*.json"))
+            written[name] = {path.name: path.read_bytes() for path in files}
+        assert len(written["default"]) == (2 if command == "evaluate" else 4)
+        assert written["renamed"] == written["default"]
+
 
 class TestOneLineErrors:
     def run(self, capsys, appeals, themes, *extra):

@@ -25,7 +25,13 @@ from themerank.config import (
 from themerank.corpus import AppealRecord
 from themerank.lexrank import SummaryConfig
 from themerank.ranking import PipelineConfig
-from themerank.textproc import load_stopwords, remove_noise, segment_sentences, tokenize
+from themerank.textproc import (
+    PreprocessConfig,
+    load_stopwords,
+    remove_noise,
+    segment_sentences,
+    tokenize,
+)
 
 
 def _leaf_paths(mapping, prefix=()):
@@ -116,6 +122,8 @@ class TestLoadRunConfig:
         assert preprocess.core_start_markers == ("RELATÓRIO",)
         assert preprocess.core_end_markers == ()
         assert preprocess.abbreviations == frozenset({"art"})
+        # null removal patterns and stopwords are the dataclass defaults
+        assert preprocess == PreprocessConfig(core_start_markers=("RELATÓRIO",), abbreviations={"art"})
 
     @pytest.mark.parametrize(
         "entries", ["[art, fls]", "[Art., Fls.]", "[ART]", "['art!', 'ART…']", "null"]
@@ -194,6 +202,28 @@ class TestLoadRunConfig:
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(body), encoding="utf-8")
         assert load_run_config(str(path)) == DEFAULT_CONFIG
+
+    @pytest.mark.parametrize(
+        "body, key, line",
+        [
+            ("k: 3\nsummary:\n  size: 5\nk: 5\n", "k", 4),
+            ("summary: {size: 5}\nsummary: {alpha: 2.0}\n", "summary", 2),
+            ("summary:\n  size: 5\n  alpha: 2.0\n  size: 6\n", "size", 4),
+        ],
+        ids=["top-level", "section", "in-a-section"],
+    )
+    def test_key_written_twice_named(self, tmp_path, body, key, line):
+        path = tmp_path / "run.yaml"
+        path.write_text(body, encoding="utf-8")
+        message = f"{path}: key {key!r} written twice, again on line {line}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_run_config(str(path))
+
+    def test_key_brought_in_by_a_merge_may_be_written_out(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("summary:\n  <<: {size: 5, alpha: 2.0}\n  size: 7\n", encoding="utf-8")
+        summary = load_run_config(str(path))["summary"]
+        assert (summary["size"], summary["alpha"]) == (7, 2.0)
 
     def test_int_accepted_where_a_float_is_due(self, tmp_path):
         path = tmp_path / "run.yaml"
@@ -291,6 +321,12 @@ class TestBuildPipeline:
         config = load_run_config(None)
         config["preprocess"]["removal_patterns"] = ["oops"]
         with pytest.raises(ConfigError, match="name"):
+            build_preprocess(config)
+
+    def test_fault_without_a_stopword_file_names_no_file(self):
+        config = load_run_config(None)
+        config["preprocess"]["core_start_markers"] = [1]
+        with pytest.raises(ConfigError, match="^core_start_markers entries must be str, got 1$"):
             build_preprocess(config)
 
     def test_stopword_file_with_comments(self, tmp_path):
