@@ -194,14 +194,16 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         settings["removal_patterns"] = patterns
-    stopword_path = section["stopwords"]
-    if stopword_path:
-        settings["stopwords"] = load_stopwords(stopword_path)
     try:
-        return PreprocessConfig(**settings)
+        preprocess = PreprocessConfig(**settings)
     except ValueError as exc:
-        # a run file's shapes are checked, so there only a stopword entry is left to refuse
-        raise ConfigError(f"{stopword_path}: {exc}" if stopword_path else str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
+    path = section["stopwords"]
+    try:
+        # the other fields passed above, so a refusal here is the file's
+        return replace(preprocess, stopwords=load_stopwords(path)) if path else preprocess
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def report_fields(pipeline: PipelineConfig) -> tuple[str, str, str, str]:

@@ -30,7 +30,6 @@ TERMINALS = ".!?…"
 # match never starts inside a run. Led by a bare class, not a repeat, so re
 # jumps from one terminal to the next
 _TERMINAL_RUN_RE = re.compile(r"[.!?…][.!?…]*(\s+)(?=\S)")
-_WORD_RE = re.compile(r"\w+")
 
 # Sentence-final abbreviations that must not end a sentence, stored without
 # their trailing period.
@@ -236,12 +235,15 @@ def tokenize(text: str) -> TokenSequence:
 
     Digits survive as tokens; pure-punctuation fragments are dropped.
     """
-    if not text:
-        return []
-    normalized = unicodedata.normalize("NFC", text).lower()
-    # for str patterns \w is [^\W_] plus "_": one C-level pass of \w+ over
-    # the text with its underscores made separators
-    return _WORD_RE.findall(normalized.replace("_", " "))
+    # no whitespace is \w, so no token crosses a str.split() piece, and an
+    # isalnum piece is one [^\W_]+ run: only the other pieces are searched
+    tokens = []
+    for piece in unicodedata.normalize("NFC", text).lower().split():
+        if piece.isalnum():
+            tokens.append(piece)
+        else:
+            tokens += _WORD_RUN_RE.findall(piece)
+    return tokens
 
 
 def term_counts(

@@ -329,6 +329,23 @@ class TestBuildPipeline:
         with pytest.raises(ConfigError, match="^core_start_markers entries must be str, got 1$"):
             build_preprocess(config)
 
+    def test_fault_beside_a_stopword_file_names_no_file(self, tmp_path):
+        path = tmp_path / "sw.txt"
+        path.write_text("xpto\n", encoding="utf-8")
+        config = load_run_config(None)
+        config["preprocess"]["stopwords"] = str(path)
+        config["preprocess"]["core_start_markers"] = [1]
+        with pytest.raises(ConfigError, match="^core_start_markers entries must be str, got 1$"):
+            build_preprocess(config)
+
+    def test_stopword_file_that_is_not_utf8_named(self, tmp_path):
+        path = tmp_path / "sw.txt"
+        path.write_bytes(b"de\n\xff\n")
+        config = load_run_config(None)
+        config["preprocess"]["stopwords"] = str(path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            build_preprocess(config)
+
     def test_stopword_file_with_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("# comment line\num\ndois  # trailing comment\n\n", encoding="utf-8")
@@ -357,7 +374,8 @@ class TestBuildPipeline:
         path.write_text("de\nd'\n", encoding="utf-8")
         config = load_run_config(None)
         config["preprocess"]["stopwords"] = str(path)
-        with pytest.raises(ConfigError, match=re.escape(f"{path}: stopword \"d'\" is not one word")):
+        message = f"{path}: stopword \"d'\" is not one word (a run of letters and digits)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build_preprocess(config)
 
 

@@ -70,6 +70,37 @@ class TestTokenize:
         assert tokenize(" ".join(once)) == once
 
 
+# every character that str.split() and re's \s split at
+_WHITESPACE = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+# whitespace pieces that take tokenize's str.isalnum fast path and pieces
+# that miss it: underscore runs, words with punctuation attached, combining
+# marks that start a piece, and letters whose lowercase is not one
+# alphanumeric character (İ lowers to i + U+0307; Σ to σ or, ending a word, ς)
+_PIECES = st.sampled_from(
+    ["_", "___", "a_b", "_x", "x_", "d'", "(lei)", "6.830/80", "art.", "§2º", "R$10,00",
+     "\u0301a", "\u0308", "\u0345x", "İ", "İSSO", "Σ", "ΑΣ", "ΣΑΣ", "İΣ_", "ß", "٣𝟎", "—"]
+) | st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")), min_size=1, max_size=6)
+
+
+class TestTokenizePieces:
+    def test_whitespace_list_is_every_space(self):
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert spaces == sorted(_WHITESPACE)
+
+    @given(
+        st.text(st.sampled_from(_WHITESPACE), max_size=2),
+        st.lists(st.tuples(_PIECES, st.text(st.sampled_from(_WHITESPACE), min_size=1, max_size=3)), max_size=10),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_pieces_match_alphanumeric_run_oracle(self, lead, pairs):
+        text = lead + "".join(piece + gap for piece, gap in pairs)
+        assert tokenize(text) == tokenize_brute(text)
+
+
 # characters whose normalisation or lowercasing could depend on their
 # neighbours: combining marks, capital sigma (final or not), dotted capital I,
 # NBSP, apostrophes and decomposed/compatibility forms
