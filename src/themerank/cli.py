@@ -112,10 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.set_defaults(func=cmd_grid)
 
     p_stats = sub.add_parser("stats", help="word-count statistics of a corpus file")
+    p_stats.add_argument("--config", help="run-configuration file: its delimiter and appeal_columns")
     p_stats.add_argument("--input", required=True, help="delimited corpus file")
-    p_stats.add_argument("--id-col", default="id")
-    p_stats.add_argument("--text-col", default="text")
-    p_stats.add_argument("--delimiter", default=",")
     p_stats.set_defaults(func=cmd_stats)
 
     return parser
@@ -161,6 +159,8 @@ def _write_text(path: Path, text: str) -> None:
 def cmd_classify(args) -> int:
     if args.text is not None and args.appeals is not None:
         raise ConfigError("classify takes --text or --appeals, not both")
+    if args.text is None and args.appeals is None:
+        raise ConfigError("classify needs --text or --appeals")
     if args.appeal_id is not None and args.appeals is None:
         raise ConfigError("classify --appeal-id needs --appeals")
     merged = _merged_config(args)
@@ -170,14 +170,12 @@ def cmd_classify(args) -> int:
 
     if args.text is not None:
         appeals = [corpusmod.AppealRecord(id="inline", raw_text=args.text)]
-    elif args.appeals:
+    else:
         appeals = _load_corpus(corpusmod.load_appeals, args.appeals, merged, "appeal_columns")
         if args.appeal_id is not None:
             appeals = [a for a in appeals if a.id == args.appeal_id]
             if not appeals:
                 raise PipelineError(f"appeal id {args.appeal_id!r} not found in {args.appeals}")
-    else:
-        raise ConfigError("classify needs --text or --appeals")
 
     results, failures = classify_corpus(appeals, catalog, pipeline, parallel=args.parallel)
     for ranked in results:
@@ -313,13 +311,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = corpusmod.load_appeals(
-        args.input,
-        delimiter=args.delimiter,
-        id_col=args.id_col,
-        text_col=args.text_col,
-        theme_col=None,
-    )
+    merged = cfgmod.load_run_config(args.config)
+    records = _load_corpus(corpusmod.load_appeals, args.input, merged, "appeal_columns")
     print(json.dumps(asdict(corpusmod.corpus_stats(records)), sort_keys=True))
     return 0
 

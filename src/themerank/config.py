@@ -68,6 +68,13 @@ def _strings(value: Any) -> bool:
     return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
+def _rules(value: Any) -> bool:
+    """A list of removal rules, each mapping string ``name`` and ``pattern``."""
+    return isinstance(value, list) and all(
+        isinstance(rule, dict) and _strings([rule.get("name"), rule.get("pattern")]) for rule in value
+    )
+
+
 def _number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -88,7 +95,7 @@ _TYPE_SHAPES = {
 _KEY_SHAPES = {
     "embeddings": _or_null("a file path", lambda value: isinstance(value, str)),
     "preprocess.stopwords": _or_null("a file path", lambda value: isinstance(value, str)),
-    "preprocess.removal_patterns": _or_null("a list", lambda value: isinstance(value, list)),
+    "preprocess.removal_patterns": _or_null("a list of mappings with string 'name' and 'pattern'", _rules),
     "preprocess.core_start_markers": _or_null("a list of strings", _strings),
     "preprocess.core_end_markers": _or_null("a list of strings", _strings),
     "preprocess.abbreviations": _or_null("a list of strings", _strings),
@@ -174,27 +181,12 @@ def build_preprocess(config: dict[str, Any]) -> PreprocessConfig:
     """The preprocess section as a PreprocessConfig; a null setting, and no
     stopword file, leave the field at the dataclass default."""
     section = config["preprocess"]
-    names = ("core_start_markers", "core_end_markers", "abbreviations", "removal_patterns")
+    names = ("remove_terms", "core_start_markers", "core_end_markers", "abbreviations", "removal_patterns")
     settings = {name: section[name] for name in names if section[name] is not None}
-    settings["remove_terms"] = bool(section["remove_terms"])
-    if "removal_patterns" in settings:
-        patterns = []
-        for entry in settings["removal_patterns"]:
-            if not (
-                isinstance(entry, dict)
-                and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("pattern"), str)
-            ):
-                raise ConfigError(
-                    "each 'preprocess.removal_patterns' entry needs string 'name' and "
-                    f"'pattern' values, got {entry!r}"
-                )
-            try:
-                patterns.append(RemovalRule.compile(entry["name"], entry["pattern"]))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        settings["removal_patterns"] = patterns
     try:
+        if "removal_patterns" in settings:
+            rules = settings["removal_patterns"]
+            settings["removal_patterns"] = [RemovalRule.compile(r["name"], r["pattern"]) for r in rules]
         preprocess = PreprocessConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -232,7 +224,7 @@ def build_pipeline(config: dict[str, Any]) -> PipelineConfig:
             summary=SummaryConfig(**config["summary"]),
             similarity_method=config["similarity"],
             bm25=Bm25Params(**config["bm25"]),
-            k=int(config["k"]),
+            k=config["k"],
             embedding_source=config["embeddings"],
         )
     except ValueError as exc:

@@ -149,11 +149,14 @@ def _scores(
     # cached_property keeps a computed analysis in the instance dict: a fulltext
     # cell segments no text that no summary cell has segmented yet. A
     # representation with no tokens reaches the one failure below, whatever
-    # the similarity method.
+    # the similarity method, and so does an appeal with none before it is
+    # summarized.
     if config.representation == "fulltext" and "sentences" not in vars(analysis):
         tokens = tokenize(analysis.cleaned)
         if config.similarity_method == "bm25" and tokens:
             return score_by_bm25(tokens, prepared.index)
+    elif not analysis.sentences.terms:
+        tokens = []
     else:
         sentences = analysis.sentences
         if config.representation == "fulltext":
@@ -270,12 +273,14 @@ def classify_grid(
     collected instead of aborting the batch.
     """
     prepared = _prepare_each(catalog, configs)
-    if parallel <= 1 or len(appeals) <= 1:
+    # the pool starts all max_workers processes at its first task; none idle
+    workers = min(parallel, len(appeals))
+    if workers <= 1:
         per_appeal = [_classify_safely(a, catalog, configs, prepared) for a in appeals]
     else:
-        chunksize = max(1, len(appeals) // (parallel * 4))
+        chunksize = max(1, len(appeals) // (workers * 4))
         with ProcessPoolExecutor(
-            max_workers=parallel,
+            max_workers=workers,
             initializer=_init_worker,
             initargs=(catalog, configs, prepared),
         ) as pool:

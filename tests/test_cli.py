@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -111,6 +112,15 @@ class TestClassify:
     def test_neither_text_nor_appeals_is_error(self, capsys, tiny_themes_file):
         code, _, err = run_cli(capsys, "classify", "--themes", str(tiny_themes_file))
         assert code == 1 and "--text or --appeals" in err
+
+    def test_input_mode_is_checked_before_the_catalog_and_out(self, capsys, tmp_path):
+        outdir = tmp_path / "newdir"
+        code, out, err = run_cli(
+            capsys, "classify", "--themes", str(tmp_path / "missing.csv"), "--out", str(outdir)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error: classify needs --text or --appeals"]
+        assert not outdir.exists()
 
     def test_text_with_appeals_is_error(self, capsys, tiny_appeals_file, tiny_themes_file):
         code, out, err = run_cli(
@@ -385,8 +395,34 @@ class TestKnobInventory:
             "classify": sorted([*common, "--appeal-id", "--text"]),
             "evaluate": common,
             "grid": common,
-            "stats": ["--delimiter", "--help", "--id-col", "--input", "--text-col", "-h"],
+            "stats": ["--config", "--help", "--input", "-h"],
         }
+
+
+class TestReadmeCommandLine:
+    """README's command-line section against the parser: a flag that goes
+    cannot stay in the documentation."""
+
+    section = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split(
+        "## Command line", 1
+    )[1].split("\n## ", 1)[0]
+
+    def test_every_example_parses(self):
+        block = self.section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("themerank ")]
+        assert {argv[0] for argv in commands} == {"classify", "evaluate", "grid", "stats"}
+        for argv in commands:
+            build_parser().parse_args(argv)
+
+    def test_every_listed_flag_exists(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        sentences = re.findall(r"Flags accepted by (.+?):(.+?)\.\s", self.section, re.DOTALL)
+        assert sentences
+        for names, listed in sentences:
+            flags = [flag.split()[0] for flag in re.findall(r"`(--[^`]+)`", listed)]
+            assert flags
+            for name in re.findall(r"`(\w+)`", names):
+                assert set(flags) <= set(commands.choices[name]._option_string_actions), name
 
 
 # YAML spellings of nan, inf, -inf, 0, -1 and 1e308 (PyYAML reads "1e308" as a string)
@@ -1137,7 +1173,7 @@ class TestOneLineErrors:
             ("k: [1]\n", "'k' must be an integer, got [1]"),
             (
                 "preprocess:\n  removal_patterns: [{name: x, pattern: 5}]\n",
-                "each 'preprocess.removal_patterns' entry needs string 'name' and 'pattern' values",
+                "'preprocess.removal_patterns' must be a list of mappings with string 'name' and 'pattern'",
             ),
         ],
     )
@@ -1148,6 +1184,14 @@ class TestOneLineErrors:
         config.write_text(body, encoding="utf-8")
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert message in err
+
+    def test_bad_removal_entry_named_before_a_later_fault(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path
+    ):
+        config = tmp_path / "run.yaml"
+        config.write_text("preprocess:\n  removal_patterns: [{name: x, pattern: 5}]\nk: 6.5\n", encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
+        assert err.startswith(f"error: {config}: 'preprocess.removal_patterns' must be a list of mappings")
 
     @pytest.mark.parametrize("delimiter", ["", ",,"])
     def test_bad_delimiter_in_run_file(
@@ -1242,25 +1286,20 @@ class TestStats:
     def test_custom_columns_and_delimiter(self, capsys, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("codigo\tcorpo\nD1\tum dois três\n", encoding="utf-8")
-        code, out, _ = run_cli(
-            capsys,
-            "stats",
-            "--input",
-            str(path),
-            "--id-col",
-            "codigo",
-            "--text-col",
-            "corpo",
-            "--delimiter",
-            "\t",
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            "delimiter: \"\\t\"\nappeal_columns: {id: codigo, text: corpo}\n", encoding="utf-8"
         )
+        code, out, _ = run_cli(capsys, "stats", "--config", str(config), "--input", str(path))
         assert code == 0
         assert json.loads(out)["max_words"] == 3
 
     def test_bad_delimiter_flag(self, capsys, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("id,text\nD1,um dois\n", encoding="utf-8")
-        code, _, err = run_cli(capsys, "stats", "--input", str(path), "--delimiter", "")
+        config = tmp_path / "run.yaml"
+        config.write_text("delimiter: ''\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "stats", "--config", str(config), "--input", str(path))
         assert code == 1
         assert err == "error: delimiter must be one character, got ''\n"
 

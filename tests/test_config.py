@@ -317,11 +317,16 @@ class TestBuildPipeline:
         with pytest.raises(ConfigError, match="bad"):
             build_preprocess(config)
 
-    def test_malformed_pattern_entry(self):
-        config = load_run_config(None)
-        config["preprocess"]["removal_patterns"] = ["oops"]
-        with pytest.raises(ConfigError, match="name"):
-            build_preprocess(config)
+    def test_malformed_pattern_entry(self, tmp_path):
+        # the run-file walk refuses the entry, naming the file and the key
+        path = tmp_path / "run.yaml"
+        path.write_text("preprocess:\n  removal_patterns: [oops]\n", encoding="utf-8")
+        message = (
+            f"{path}: 'preprocess.removal_patterns' must be a list of mappings with string "
+            "'name' and 'pattern' or null, got ['oops']"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_run_config(str(path))
 
     def test_fault_without_a_stopword_file_names_no_file(self):
         config = load_run_config(None)

@@ -627,6 +627,33 @@ class TestClassifyGrid:
         outcome = classify_grid(appeals, catalog, [PipelineConfig()], parallel=2)[0]
         assert classify_corpus(appeals, catalog, PipelineConfig()) == (outcome.results, outcome.failures)
 
+    @pytest.mark.parametrize("parallel, count, workers", [(500, 2, [2]), (2, 2, [2]), (500, 1, []), (1, 2, [])])
+    def test_no_more_workers_than_appeals(self, monkeypatch, parallel, count, workers):
+        # a pool starts all of its workers at the first task: this stand-in
+        # records how many were asked for and runs the tasks in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, function, items, chunksize):
+                return map(function, items)
+
+        monkeypatch.setattr(ranking, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(ranking, "_WORKER_STATE", {})
+        appeals = MARKED_APPEALS[:count]
+        outcome = classify_grid(appeals, SEVEN_THEMES, [PLAIN_CONFIG], parallel)[0]
+        assert started == workers
+        assert (outcome.results, outcome.failures) == classify_corpus(appeals, SEVEN_THEMES, PLAIN_CONFIG)
+
     def test_no_configs_no_outcomes(self):
         assert classify_grid([AppealRecord("A1", "texto")], SEVEN_THEMES, []) == []
 
@@ -648,16 +675,10 @@ class TestClassifyGrid:
             for method in SIMILARITY_METHODS
         ]
         for config, outcome in zip(configs, classify_grid(appeals, SEVEN_THEMES, configs)):
-            failed = [message.split(":")[0] for message in outcome.failures]
-            if config.representation == "fulltext":
-                assert outcome.results == []
-                assert outcome.failures == [
-                    "P: no tokens left for vectorization",
-                    "S: scores 0 against every theme",
-                ]
-            else:
-                assert failed == ["P", "S"] and outcome.results == []
-                assert outcome.failures[1] == "S: no tokens left for vectorization"
+            fulltext = config.representation == "fulltext"
+            reason = "scores 0 against every theme" if fulltext else "no tokens left for vectorization"
+            assert outcome.results == []
+            assert outcome.failures == ["P: no tokens left for vectorization", f"S: {reason}"]
             # fulltext alone tokenizes the cleaned text: no analysis holds sentences
             alone = replace(config, representation="fulltext")
             with pytest.raises(PipelineError, match="no tokens left"):
