@@ -53,24 +53,25 @@ def _worker_count(value: str) -> int:
     return int(value)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, cell_flags: bool = True) -> None:
     parser.add_argument("--config", help="run-configuration file (YAML or JSON)")
     parser.add_argument("--k", type=int, help=f"suggestion list length (default {PipelineConfig.k})")
-    parser.add_argument(
-        "--representation",
-        choices=REPRESENTATIONS,
-        help="appeal representation fed to the similarity stage",
-    )
-    parser.add_argument("--summary-size", type=int, help="sentences kept in the summary")
+    if cell_flags:  # grid takes these four settings from its axes alone
+        parser.add_argument(
+            "--representation",
+            choices=REPRESENTATIONS,
+            help="appeal representation fed to the similarity stage",
+        )
+        parser.add_argument("--summary-size", type=int, help="sentences kept in the summary")
+        parser.add_argument("--similarity", choices=SIMILARITY_METHODS, help="theme scoring method")
+        parser.add_argument(
+            "--remove-terms",
+            type=_bool_flag,
+            metavar="BOOL",
+            help="enable/disable noise and stopword removal",
+        )
     parser.add_argument("--alpha", type=float, help="centrality weight in guided summaries")
     parser.add_argument("--beta", type=float, help="guidance weight in guided summaries")
-    parser.add_argument("--similarity", choices=SIMILARITY_METHODS, help="theme scoring method")
-    parser.add_argument(
-        "--remove-terms",
-        type=_bool_flag,
-        metavar="BOOL",
-        help="enable/disable noise and stopword removal",
-    )
     parser.add_argument(
         "--embeddings",
         help="embedding file for the cosine path, or 'tfidf' for the built-in fallback",
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid", help="sweep the experiment grid from the config file")
     p_grid.add_argument("--appeals", required=True)
     p_grid.add_argument("--themes", required=True)
-    _add_common_flags(p_grid)
+    _add_common_flags(p_grid, cell_flags=False)
     p_grid.set_defaults(func=cmd_grid)
 
     p_stats = sub.add_parser("stats", help="word-count statistics of a corpus file")

@@ -105,7 +105,8 @@ _KEY_SHAPES = {
 def _merge(defaults: dict, loaded: dict, path: str, prefix: str = "") -> dict:
     """The defaults with the file's values laid over them. Walks the file's
     keys in its order and names the first unknown key, section that is not a
-    mapping, grid axis that is not a list or value of the wrong shape."""
+    mapping, grid axis that is not a list, value of the wrong shape or
+    removal pattern that is not a valid regex."""
     merged = copy.deepcopy(defaults)
     for key, value in loaded.items():
         name = f"{prefix}{key}"
@@ -122,6 +123,12 @@ def _merge(defaults: dict, loaded: dict, path: str, prefix: str = "") -> dict:
             shape, fits = _KEY_SHAPES.get(name) or _TYPE_SHAPES[type(defaults[key])]
             if not fits(value):
                 raise ConfigError(f"{path}: {name!r} must be {shape}, got {value!r}")
+            if name == "preprocess.removal_patterns":
+                for rule in value or ():
+                    try:
+                        RemovalRule.compile(rule["name"], rule["pattern"])
+                    except ValueError as exc:
+                        raise ConfigError(f"{path}: {name!r}: {exc}") from exc
         merged[key] = value
     return merged
 

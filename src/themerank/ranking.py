@@ -206,16 +206,16 @@ def classify_appeal(
 
 
 def _classify_safely(appeal, catalog, configs, prepared) -> list[tuple[str, object, float]]:
-    """Every config against one appeal, sharing one memo of its analyses:
-    (status, ranking or failure message, seconds) per config. A failure is
-    the appeal's under that config alone; its message is the appeal id and
-    the error, which does not name the appeal again."""
+    """Every config against one appeal, with the batch's theme side and one
+    memo of the appeal's analyses: (status, ranking or failure message,
+    seconds) per config. A failure is the appeal's under that config alone;
+    its message is the appeal id and the error, not naming the appeal again."""
     memo: list = []
     outcomes = []
-    for config, themes in zip(configs, prepared):
+    for config in configs:
         start = time.perf_counter()
         try:
-            status, payload = "ok", classify_appeal(appeal, catalog, config, themes, memo)
+            status, payload = "ok", classify_appeal(appeal, catalog, config, prepared, memo)
         except (PipelineError, ValueError, RuntimeError, MemoryError) as exc:
             status, payload = "err", f"{appeal.id}: {exc}"
         outcomes.append((status, payload, time.perf_counter() - start))
@@ -244,19 +244,6 @@ class CorpusOutcome:
     seconds: float
 
 
-def _prepare_each(catalog: ThemeCatalog, configs: Sequence[PipelineConfig]) -> list[PreparedThemes]:
-    """prepare_themes per config; configs with the same theme side share one
-    PreparedThemes, so their guided summaries share guidance σ."""
-    shared: dict = {}
-    prepared = []
-    for config in configs:
-        key = (config.bm25, _embedding_file(config))
-        if key not in shared:
-            shared[key] = prepare_themes(catalog, config)
-        prepared.append(shared[key])
-    return prepared
-
-
 def classify_grid(
     appeals: Sequence[AppealRecord],
     catalog: ThemeCatalog,
@@ -271,8 +258,18 @@ def classify_grid(
     order), and a worker holds one analysis at a time. All configs share one
     process pool. Results keep input order; per-appeal failures are
     collected instead of aborting the batch.
+
+    The configs share one theme side, so they must share ``bm25`` and name
+    at most one embedding file; another batch is refused before any appeal
+    is classified.
     """
-    prepared = _prepare_each(catalog, configs)
+    if not configs:
+        return []
+    files = {_embedding_file(config) for config in configs} - {None}
+    if len(files) > 1 or any(config.bm25 != configs[0].bm25 for config in configs):
+        raise ValueError("the configs of one batch must share bm25 and name at most one embedding file")
+    # the config that loads the embedding file, if one does, prepares for all
+    prepared = prepare_themes(catalog, next((c for c in configs if _embedding_file(c)), configs[0]))
     # the pool starts all max_workers processes at its first task; none idle
     workers = min(parallel, len(appeals))
     if workers <= 1:

@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
@@ -347,7 +348,10 @@ class TestOverrideFlags:
         ],
     )
     def test_every_override_is_a_flag(self, argv):
-        assert set(OVERRIDE_PATHS) <= set(vars(build_parser().parse_args(argv)))
+        # a grid cell takes these four from the grid axes, so grid has no flag for them
+        cells = {"representation", "summary_size", "similarity", "remove_terms"}
+        expected = set(OVERRIDE_PATHS) - cells if argv[0] == "grid" else set(OVERRIDE_PATHS)
+        assert set(OVERRIDE_PATHS) & set(vars(build_parser().parse_args(argv))) == expected
 
 
 def _key_paths(node: dict, prefix: str = ""):
@@ -391,10 +395,13 @@ class TestKnobInventory:
             "--out", "--parallel", "--remove-terms", "--representation", "--similarity",
             "--summary-size", "--themes", "-h",
         ]
+        # grid dropped --remove-terms, --representation, --similarity and
+        # --summary-size: every cell overwrote them with its grid axes' values
+        cells = {"--remove-terms", "--representation", "--similarity", "--summary-size"}
         assert flags == {
             "classify": sorted([*common, "--appeal-id", "--text"]),
             "evaluate": common,
-            "grid": common,
+            "grid": sorted(set(common) - cells),
             "stats": ["--config", "--help", "--input", "-h"],
         }
 
@@ -407,22 +414,43 @@ class TestReadmeCommandLine:
         "## Command line", 1
     )[1].split("\n## ", 1)[0]
 
-    def test_every_example_parses(self):
+    def examples(self) -> list[list[str]]:
         block = self.section.split("```bash\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
-        commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("themerank ")]
+        return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("themerank ")]
+
+    def listed(self) -> list[tuple[list[str], list[str]]]:
+        """(subcommands, flags) of each "Flags accepted by ..." sentence."""
+        sentences = re.findall(r"Flags accepted by (.+?):(.+?)\.\s", self.section, re.DOTALL)
+        assert sentences
+        return [
+            (re.findall(r"`(\w+)`", names), [flag.split()[0] for flag in re.findall(r"`(--[^`]+)`", listed)])
+            for names, listed in sentences
+        ]
+
+    def test_every_example_parses(self):
+        commands = self.examples()
         assert {argv[0] for argv in commands} == {"classify", "evaluate", "grid", "stats"}
         for argv in commands:
             build_parser().parse_args(argv)
 
     def test_every_listed_flag_exists(self):
         commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        sentences = re.findall(r"Flags accepted by (.+?):(.+?)\.\s", self.section, re.DOTALL)
-        assert sentences
-        for names, listed in sentences:
-            flags = [flag.split()[0] for flag in re.findall(r"`(--[^`]+)`", listed)]
+        for names, flags in self.listed():
             assert flags
-            for name in re.findall(r"`(\w+)`", names):
+            for name in names:
                 assert set(flags) <= set(commands.choices[name]._option_string_actions), name
+
+    def test_every_accepted_flag_is_documented(self):
+        # in the subcommand's "Flags accepted by" sentence or in its examples
+        documented = {name: set() for name in ("classify", "evaluate", "grid", "stats")}
+        for names, flags in self.listed():
+            for name in names:
+                documented[name].update(flags)
+        for argv in self.examples():
+            documented[argv[0]].update(arg for arg in argv if arg.startswith("--"))
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in commands.choices.items():
+            assert set(parser._option_string_actions) - {"-h", "--help"} <= documented[name], name
 
 
 # YAML spellings of nan, inf, -inf, 0, -1 and 1e308 (PyYAML reads "1e308" as a string)
@@ -858,6 +886,46 @@ class TestGrid:
         assert len(err.splitlines()) == 1
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--representation", "fulltext"), ("--similarity", "cosine"),
+            ("--summary-size", "1"), ("--remove-terms", "false"),
+        ],
+    )
+    def test_cell_flag_is_a_usage_error(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, flag, value
+    ):
+        outdir = tmp_path / "grid_out"
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "grid", "--appeals", str(tiny_appeals_file), "--themes", str(tiny_themes_file),
+                "--out", str(outdir), flag, value,
+            ])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: themerank ")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+        assert not outdir.exists()
+
+    def test_both_methods_with_an_embedding_file_share_one_theme_side(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, monkeypatch
+    ):
+        embeddings = tmp_path / "e.tsv"
+        embeddings.write_text(
+            "id\t2\nA1\t1,0\nA2\t0,1\nA3\t1,1\nT1\t1,0\nT2\t0,1\nT3\t1,1\n", encoding="utf-8"
+        )
+        for name in ("build_index", "load_embeddings"):
+            monkeypatch.setattr(ranking, name, mock.Mock(wraps=getattr(ranking, name)))
+        config = self.grid_config(tmp_path, "grid:\n  similarity_methods: [bm25, cosine]\n")
+        code, out, err = run_cli(
+            capsys, "grid", "--appeals", str(tiny_appeals_file), "--themes", str(tiny_themes_file),
+            "--config", str(config), "--embeddings", str(embeddings),
+        )
+        assert code == 0, err
+        assert len(out.splitlines()) == 1 + 2
+        assert (ranking.build_index.call_count, ranking.load_embeddings.call_count) == (1, 1)
+
 
 class TestGridFastPath:
     """The grid analyses each appeal once per preprocess option and derives
@@ -1192,6 +1260,19 @@ class TestOneLineErrors:
         config.write_text("preprocess:\n  removal_patterns: [{name: x, pattern: 5}]\nk: 6.5\n", encoding="utf-8")
         err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
         assert err.startswith(f"error: {config}: 'preprocess.removal_patterns' must be a list of mappings")
+
+    @pytest.mark.parametrize("later", ["", "k: 6.5\n"], ids=["alone", "before-a-later-fault"])
+    def test_invalid_removal_regex_named_with_its_file(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, later
+    ):
+        config = tmp_path / "run.yaml"
+        body = 'preprocess:\n  removal_patterns: [{name: x, pattern: "["}]\n' + later
+        config.write_text(body, encoding="utf-8")
+        err = self.run(capsys, tiny_appeals_file, tiny_themes_file, "--config", str(config))
+        assert err == (
+            f"error: {config}: 'preprocess.removal_patterns': "
+            "removal pattern 'x' is not a valid regex: unterminated character set at position 0\n"
+        )
 
     @pytest.mark.parametrize("delimiter", ["", ",,"])
     def test_bad_delimiter_in_run_file(

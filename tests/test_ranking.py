@@ -657,6 +657,40 @@ class TestClassifyGrid:
     def test_no_configs_no_outcomes(self):
         assert classify_grid([AppealRecord("A1", "texto")], SEVEN_THEMES, []) == []
 
+    def test_one_theme_side_serves_every_config(self, tmp_path, monkeypatch):
+        vectors = {record.id: np.eye(2)[i % 2] for i, record in enumerate([*MARKED_APPEALS, *SEVEN_THEMES])}
+        path = tmp_path / "emb.tsv"
+        write_embeddings(path, EmbeddingTable(dimension=2, vectors=vectors))
+        configs = [
+            replace(PLAIN_CONFIG, representation="guided_lexrank"),
+            replace(PLAIN_CONFIG, similarity_method="cosine", embedding_source=str(path)),
+            replace(PLAIN_CONFIG, similarity_method="cosine"),
+        ]
+        expected = [
+            [classify_appeal(appeal, SEVEN_THEMES, config) for appeal in MARKED_APPEALS] for config in configs
+        ]
+        monkeypatch.setattr(ranking, "prepare_themes", mock.Mock(wraps=prepare_themes))
+        outcomes = classify_grid(MARKED_APPEALS, SEVEN_THEMES, configs)
+        assert ranking.prepare_themes.call_count == 1
+        assert [outcome.results for outcome in outcomes] == expected
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            [PLAIN_CONFIG, replace(PLAIN_CONFIG, bm25=Bm25Params(k1=1.2))],
+            [
+                replace(PLAIN_CONFIG, similarity_method="cosine", embedding_source=name)
+                for name in ("a.tsv", "b.tsv")
+            ],
+        ],
+        ids=["bm25", "embedding-files"],
+    )
+    def test_two_theme_sides_refused_before_any_appeal(self, monkeypatch, configs):
+        monkeypatch.setattr(ranking, "classify_appeal", mock.Mock())
+        with pytest.raises(ValueError, match="must share bm25 and name at most one embedding file"):
+            classify_grid(MARKED_APPEALS, SEVEN_THEMES, configs)
+        assert ranking.classify_appeal.call_count == 0
+
     def test_representation_without_tokens_fails_under_every_method(self):
         # "P" keeps text but no token; "S"'s size-1 summary is its token-less "—.",
         # and its full text shares no term with the catalog
