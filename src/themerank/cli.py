@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from . import corpus as corpusmod
-from .config import ConfigError, build_grid, build_pipeline, cell_config, descriptor, report_fields
+from .config import ConfigError, build_pipeline, descriptor, grid_configs, report_fields
 from .metrics import MetricReport, evaluate_run
 from .ranking import (
     REPRESENTATIONS,
@@ -282,9 +282,7 @@ def _csv_text(rows) -> str:
 
 def cmd_grid(args) -> int:
     merged = _merged_config(args)
-    base = build_pipeline(merged)
-    # a bad cell value fails here
-    configs = [cell_config(base, cell) for cell in build_grid(merged).cells()]
+    configs = grid_configs(merged)  # a bad cell value fails here
     outdir = _outdir(args)
     catalog = _load_corpus(corpusmod.load_themes, args.themes, merged, "theme_columns")
     appeals = _load_corpus(corpusmod.load_appeals, args.appeals, merged, "appeal_columns")

@@ -310,3 +310,18 @@ def cell_config(base: PipelineConfig, cell: GridCell) -> PipelineConfig:
         summary=summary,
         similarity_method=cell.similarity_method,
     )
+
+
+def grid_configs(config: dict[str, Any]) -> list[PipelineConfig]:
+    """Every cell's config, in cell order. Each cell replaces the base's
+    representation, similarity, summary size and preprocess option, so the
+    base takes the first cell's: a grid is refused only for a value some
+    cell uses, never for the run file's single values of these four."""
+    grid = build_grid(config)
+    first = next(grid.cells())
+    base = build_pipeline({
+        **config, "representation": first.representation, "similarity": first.similarity_method,
+        "preprocess": {**config["preprocess"], "remove_terms": first.remove_terms},
+        "summary": {**config["summary"], "size": grid.summary_sizes[0]},
+    })
+    return [cell_config(base, cell) for cell in grid.cells()]

@@ -40,7 +40,10 @@ class SentenceGraph:
     """Sentence similarity as the unit-norm tf-idf rows ``N``. The weights
     are ``N Nᵀ`` clipped to [0, 1] with a unit diagonal on the non-empty
     rows; ``blocks`` makes the product's upper triangle a block of rows at
-    a time, and ``weights`` makes the whole graph on each read."""
+    a time, and ``weights`` makes the whole graph on each read. ``N`` is
+    assembled once on the count matrix's arrays, which are read, never
+    copied or changed; its rows store their columns descending, the order
+    every product of ``N`` adds its terms in, on which continuous γ's bits rest."""
 
     normalized: sparse.csr_matrix
 
@@ -132,22 +135,30 @@ def similarity_matrix(counts: sparse.csr_matrix) -> SentenceGraph:
     The weights are the product of the row-normalized matrix with its
     transpose, rows unsorted as the product leaves them; (i, j) and (j, i)
     add the same terms in the same order, so they are equal bit for bit.
-    Only the normalized matrix is built here: see ``SentenceGraph``.
-    ``counts`` is not changed.
+    Only the normalized matrix ``N`` is built here (see ``SentenceGraph``),
+    once, on the arrays of ``counts``, which is read, never copied or
+    changed. Each row of ``N`` stores its columns descending, as a diagonal
+    scaling product leaves them: every later ``N Nᵀ`` adds its terms in that
+    order, and ascending rows would change continuous γ's bits.
     """
-    n = counts.shape[0]
+    n, width = counts.shape
     if n < 1:
         raise ValueError("similarity_matrix requires at least one sentence")
-    matrix = counts.copy()
-    if matrix.shape[1] == 0:
+    if width == 0:
         raise ValueError("all sentences are empty")
-    dfs, df_of_term = np.unique(matrix.getnnz(axis=0), return_inverse=True)
+    indices, indptr = counts.indices, counts.indptr
+    dfs, df_of_term = np.unique(np.bincount(indices, minlength=width), return_inverse=True)
     idf = np.array([math.log(n / df) + 1.0 for df in dfs.tolist()])[df_of_term]
-    matrix.data *= idf[matrix.indices]
+    weighted = counts.data * idf[indices]
 
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
-    scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0)
-    return SentenceGraph(normalized=sparse.diags(scale) @ matrix)
+    lengths = np.diff(indptr)
+    filled = np.flatnonzero(lengths)
+    # scipy's row sum over the non-empty rows, so the norms keep its bits
+    scale = 1.0 / np.sqrt(np.add.reduceat(weighted * weighted, indptr[filled]))
+    # position p of row [start, end) takes entry start + end - 1 - p: each row reversed
+    order = np.repeat(indptr[:-1] + indptr[1:] - 1, lengths) - np.arange(indices.size)
+    values = (np.repeat(scale, lengths[filled]) * weighted)[order]
+    return SentenceGraph(sparse.csr_matrix((values, indices[order], indptr.copy()), shape=(n, width)))
 
 
 def degree_centrality(graph: SentenceGraph, threshold: float) -> np.ndarray:

@@ -219,6 +219,21 @@ def sentence_similarity_brute(token_lists: list[list[str]]) -> list[list[float]]
     return matrix
 
 
+def normalized_by_diagonal_product(counts: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The unit-norm tf-idf rows of a count matrix through scipy's matrix
+    operations: a copy scaled by idf, row norms from its elementwise square
+    summed by row, then a diagonal scaling product, which leaves each row's
+    columns in descending order."""
+    n = counts.shape[0]
+    matrix = counts.copy()
+    idf = np.array([math.log(n / df) + 1.0 for df in matrix.getnnz(axis=0).tolist()])
+    matrix.data *= idf[matrix.indices]
+
+    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
+    scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0)
+    return sparse.diags(scale) @ matrix
+
+
 def similarity_graph_rebuilt(token_lists: list[list[str]]) -> sparse.csr_matrix:
     """The sentence graph as it was built before it was left as the bare
     product: the same count matrix, idf scaling and normalized product,
@@ -235,16 +250,11 @@ def similarity_graph_rebuilt(token_lists: list[list[str]]) -> sparse.csr_matrix:
             cols.append(column[term])
             data.append(float(count))
     matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, len(vocabulary)))
-    idf = np.array([math.log(n / df) + 1.0 for df in matrix.getnnz(axis=0).tolist()])
-    matrix.data *= idf[matrix.indices]
-
-    norms = np.sqrt(np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel())
-    scale = np.divide(1.0, norms, out=np.zeros(n), where=norms > 0)
-    normalized = sparse.diags(scale) @ matrix
+    normalized = normalized_by_diagonal_product(matrix)
     weights = (normalized @ normalized.T).tocsr()
 
     upper = sparse.triu(weights, k=1)
-    diagonal = sparse.diags((norms > 0).astype(float))
+    diagonal = sparse.diags((np.diff(matrix.indptr) > 0).astype(float))
     weights = (upper + upper.T + diagonal).tocsr()
     weights.data = np.clip(weights.data, 0.0, 1.0)
     return weights

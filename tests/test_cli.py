@@ -908,6 +908,40 @@ class TestGrid:
         assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
         assert not outdir.exists()
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "summary: {alpha: 0, beta: 0}\n"
+            "grid: {preprocess: [remove], representations: [lexrank], summary_sizes: [1]}\n",
+            "summary: {size: 0}\n"
+            "grid: {preprocess: [remove], representations: [lexrank], summary_sizes: [5]}\n",
+        ],
+        ids=["unguided-zero-weights", "single-size-zero"],
+    )
+    def test_single_values_no_cell_uses_refuse_nothing(
+        self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, body
+    ):
+        outdir = tmp_path / "grid_out"
+        code, _, err = run_cli(
+            capsys, "grid", "--appeals", str(tiny_appeals_file), "--themes", str(tiny_themes_file),
+            "--config", str(self.grid_config(tmp_path, body)), "--out", str(outdir),
+        )
+        assert code == 0, err
+        rows = list(csv.reader(open(outdir / "grid_summary.csv", encoding="utf-8")))
+        assert len(rows) == 1 + 1
+
+    def test_guided_cell_still_refuses_zero_weights_before_reading(self, capsys, tmp_path):
+        config = self.grid_config(
+            tmp_path,
+            "summary: {alpha: 0, beta: 0}\n"
+            "grid: {preprocess: [remove], representations: [lexrank, guided_lexrank], summary_sizes: [1]}\n",
+        )
+        code, out, err = run_cli(
+            capsys, "grid", "--appeals", str(tmp_path / "absent.csv"),
+            "--themes", str(tmp_path / "absent_themes.csv"), "--config", str(config),
+        )
+        assert (code, out, err) == (1, "", "error: guided_lexrank requires alpha + beta > 0\n")
+
     def test_both_methods_with_an_embedding_file_share_one_theme_side(
         self, capsys, tiny_appeals_file, tiny_themes_file, tmp_path, monkeypatch
     ):

@@ -17,6 +17,7 @@ from oracles import (
     degree_brute,
     guidance_brute,
     guided_selection_brute,
+    normalized_by_diagonal_product,
     select_top_sorted,
     sentence_similarity_brute,
     similarity_graph_rebuilt,
@@ -162,6 +163,36 @@ def assert_same_csr(got, expected):
     assert got.data.tobytes() == expected.data.tobytes()
     assert np.array_equal(got.indices, expected.indices)
     assert np.array_equal(got.indptr, expected.indptr)
+
+
+class TestNormalizedFromArrays:
+    """``N`` assembled on the count matrix's arrays equals the diagonal
+    scaling product it replaced byte for byte in stored order, not after
+    ``sorted_indices()``: each row descending, the order every later
+    product of ``N`` adds its terms in."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sentence_token_lists)
+    @example([[], ["a", "b"], ["b"]])  # an empty row first
+    @example([["a", "b"], ["b"], []])  # last
+    @example([["a"], [], [], ["a", "c"]])  # between
+    @example([["c", "a", "b"]])  # one sentence
+    @example([["a", "b"], ["a"], ["c", "a"]])  # "a" in every sentence: its idf is exactly 1
+    @example([["b", "b", "a", "b", "a"], ["a", "a"], ["c"]])  # repeated tokens
+    @example([[], [], ["d", "a", "d"], []])  # a single non-empty row
+    def test_equals_diagonal_product_bytes(self, token_lists):
+        assume(any(token_lists))
+        counts = term_counts(token_lists)[1]
+        arrays = (counts.data, counts.indices, counts.indptr)
+        before = [array.tobytes() for array in arrays]
+        got = similarity_matrix(counts).normalized
+        expected = normalized_by_diagonal_product(counts)
+        assert got.shape == expected.shape
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(got, name), getattr(expected, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+            assert not any(np.shares_memory(mine, array) for array in arrays)
+        assert [array.tobytes() for array in arrays] == before
 
 
 class TestGraphMatchesRebuild:
