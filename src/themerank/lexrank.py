@@ -21,6 +21,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matmat
+from scipy.sparse._sputils import get_index_dtype
 
 from .bm25 import Bm25Index, query_rows, scores_for_rows
 from .textproc import term_counts, tokenize
@@ -28,10 +30,32 @@ from .textproc import term_counts, tokenize
 CENTRALITY_VARIANTS = ("degree", "continuous")
 
 
+def _product(a: sparse.csr_matrix, b: sparse.csr_matrix) -> sparse.csr_matrix:
+    """``a @ b`` through scipy's numeric kernel alone, the one ``@`` runs
+    after its symbolic pass sizes the output: the same entries, stored in
+    the same order, bit for bit, with the same index dtype."""
+    m, n = a.shape[0], b.shape[1]
+    # row i has at most n entries, and at most one per pair of an entry (i, k)
+    # of a and an entry of b's row k. The kernel writes without bounds checks:
+    # this upper bound on each row is what keeps it inside the buffers
+    reach = np.concatenate(([0], np.cumsum(np.diff(b.indptr)[a.indices])))
+    bound = int(np.minimum(reach[a.indptr[1:]] - reach[a.indptr[:-1]], n).sum())
+    arrays = (a.indptr, a.indices, b.indptr, b.indices)
+    index = get_index_dtype(arrays, maxval=max(bound, m, n))
+    a_ptr, a_cols, b_ptr, b_cols = (np.asarray(array, dtype=index) for array in arrays)
+    indptr, indices = np.empty(m + 1, dtype=index), np.empty(bound, dtype=index)
+    data = np.empty(bound, dtype=np.result_type(a.dtype, b.dtype))
+    csr_matmat(m, n, a_ptr, a_cols, a.data, b_ptr, b_cols, b.data, indptr, indices, data)
+    used = indptr[-1]
+    # views of the used prefix, not copies; csr_matrix copies one only when
+    # it is under half its buffer, as it does for the product ``@`` makes
+    return sparse.csr_matrix((data[:used], indices[:used], indptr), shape=(m, n), copy=False)
+
+
 # rows of the sentence graph made at a time: the degree path holds one block,
 # never the n × n graph. On a 2,019-sentence appeal its peak, building N
-# included, is 5.5 MB at 256 rows and 3.5 MB at 128, but 128 rows split many
-# body-sized appeals in two (cell-guided degree 0.88 against 0.71 ms per appeal).
+# included, is 6.5 MB at 256 rows and 3.9 MB at 128, but 128 rows split many
+# body-sized appeals in two (cell-guided degree 0.53-0.59 against 0.41-0.52 ms).
 ROW_BLOCK = 256
 
 
@@ -54,14 +78,16 @@ class SentenceGraph:
     def blocks(self) -> Iterator[tuple[int, sparse.csr_matrix]]:
         """Each block of up to ``ROW_BLOCK`` rows of ``N Nᵀ`` against the
         columns from its first row on, as (first row, CSR block whose column
-        0 is that row): a new matrix each time, the caller's to change. Its
+        0 is that row): a new matrix each time, the caller's to change. It is
+        made by scipy's numeric kernel alone (``_product``), on the operands
+        ``@`` would give it, into buffers sized by an upper bound. Its
         entries are the full product's bit for bit, unclipped, stored in the
         order the product leaves them; a graph of one block is the product."""
         for start in range(0, self.n, ROW_BLOCK):
             below = self.normalized[start:] if start else self.normalized
             rows = below if below.shape[0] <= ROW_BLOCK else below[:ROW_BLOCK]
             # made in the yield, so this frame holds no block while the next is made
-            yield start, rows @ below.T
+            yield start, _product(rows, below.T.tocsr())
 
     @property
     def weights(self) -> sparse.csr_matrix:
@@ -230,11 +256,12 @@ def guidance_scores(
 ) -> np.ndarray:
     """Best BM25 score of each sentence used as a query against every theme:
     one product of the sentences' binary ``query_rows`` (``queries``, if
-    given) with ``W``, adding terms in the order ``scores_for_all`` does, so
-    σ equals the per-sentence maxima bit for bit."""
+    given) with ``W``, made by scipy's numeric kernel alone (``_product``),
+    adding terms in the order ``scores_for_all`` does, so σ equals the
+    per-sentence maxima bit for bit."""
     if queries is None:
         queries = query_rows(theme_index, *term_counts(sentences))
-    return (queries @ theme_index.weights).toarray().max(axis=1)
+    return _product(queries, theme_index.weights).toarray().max(axis=1)
 
 
 def _max_normalize(values: np.ndarray) -> np.ndarray:

@@ -278,7 +278,9 @@ def term_counts(
 # replaces), İ (two characters under str.lower) and Σ (ς at a word's end).
 # Python 3.11+ also pairs Cyrillic rounded forms (U+1C80-U+1C88), 3.10 not.
 _FOLD = str.maketrans("ſıİµςΣϐϵϑϰϖϱϕẛﬅ\u1fbe\u1fd3\u1fe3", "siiμσσβεθκπρφṡﬆι\u0390\u03b0")
-_FOLDABLE_RE = re.compile("[" + "".join(map(chr, _FOLD)) + "]")
+# a string, not a character class: each character is one C substring test,
+# and a text of one byte per character refuses at once all of them but µ
+_FOLDABLE = "".join(map(chr, _FOLD))
 _WORD_RUN_RE = re.compile(r"([^\W_]+)")
 
 
@@ -305,7 +307,7 @@ def remove_noise(text: str, config: PreprocessConfig) -> str:
     # str.split() splits at runs of str.isspace, which is re's \s
     if not stopwords:
         return " ".join(cleaned.split())
-    key = str.lower if _FOLDABLE_RE.search(cleaned) is None else fold
+    key = fold if any(ch in cleaned for ch in _FOLDABLE) else str.lower
     kept = []
     for token in cleaned.split():
         if token.isalnum():

@@ -23,7 +23,7 @@ from oracles import (
     similarity_graph_rebuilt,
     stationary_brute,
 )
-from themerank.bm25 import Bm25Params, build_index, scores_for_all
+from themerank.bm25 import Bm25Params, build_index, query_rows, scores_for_all
 from themerank import lexrank
 from themerank.lexrank import (
     SentenceAnalysis,
@@ -193,6 +193,94 @@ class TestNormalizedFromArrays:
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
             assert not any(np.shares_memory(mine, array) for array in arrays)
         assert [array.tobytes() for array in arrays] == before
+
+
+def csr(rows, width):
+    """CSR from rows of (column, value) pairs, stored in the order given."""
+    pairs = [pair for row in rows for pair in row]
+    return sparse.csr_matrix(
+        (
+            np.array([value for _, value in pairs], dtype=float),
+            np.array([column for column, _ in pairs], dtype=np.int32),
+            np.cumsum([0] + [len(row) for row in rows], dtype=np.int32),
+        ),
+        shape=(len(rows), width),
+    )
+
+
+@st.composite
+def product_operands(draw):
+    """A CSR pair ``a`` (m × k) and ``b`` (k × n): rows store distinct
+    columns in drawn order, rows may be empty anywhere, and values include
+    stored zeros and pairs that cancel to an exact 0."""
+
+    def matrix(height, width):
+        values = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.25, 2.5, 1e-300])
+        row = st.lists(st.integers(0, width - 1), unique=True, max_size=width).flatmap(
+            lambda columns: st.tuples(*(st.tuples(st.just(c), values) for c in columns))
+        )
+        return csr(draw(st.lists(row, min_size=height, max_size=height)), width)
+
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    return matrix(m, k), matrix(k, n)
+
+
+def assert_same_product(got, expected):
+    """Equal shape, and equal bytes and dtypes of the three arrays, in stored order."""
+    assert got.shape == expected.shape
+    for name in ("data", "indices", "indptr"):
+        mine, theirs = getattr(got, name), getattr(expected, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), name
+
+
+class TestProductWithoutSymbolicPass:
+    """``lexrank._product`` runs scipy's numeric kernel alone, into buffers
+    sized by an upper bound, and leaves what ``a @ b`` leaves, byte for byte
+    in stored order: the kernel writes unchecked, so a bound short by one
+    entry shows here as a wrong product or a crash."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(product_operands())
+    @example(  # empty rows first, between and last
+        (
+            csr([[], [(0, 1.0), (2, 0.5)], [], [(1, 2.0)], []], 3),
+            csr([[(1, 1.0)], [(0, 0.5), (1, 1.0)], [(1, -0.25), (0, 3.0)]], 2),
+        )
+    )
+    @example((csr([[(1, 1.0)], []], 2), csr([[(0, 1.0)], []], 1)))  # no pair meets: nnz 0
+    @example((csr([[(0, 1.0), (1, 1.0)]], 2), csr([[(0, 1.0)], [(0, -1.0)]], 1)))  # one row, sums to 0
+    @example(  # stored zeros on the right
+        (csr([[(0, 1.0), (1, 2.0)], [(1, 1.0)]], 2), csr([[(1, 0.0), (0, 1.0)], [(0, 0.0)]], 2))
+    )
+    def test_equals_matmul(self, operands):
+        a, b = operands
+        assert_same_product(lexrank._product(a, b), a @ b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sentence_token_lists)
+    @example([["a"], [], ["b"], []])  # blocks whose products hold no entry off the diagonal
+    def test_blocks_equal_block_times_transpose(self, token_lists):
+        # N[s:s+B] × N[s:]ᵀ at B = 3, as the degree blocks make it
+        assume(any(token_lists))
+        graph = similarity_matrix(term_counts(token_lists)[1])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexrank, "ROW_BLOCK", 3)
+            for start, block in graph.blocks():
+                below = graph.normalized[start:]
+                assert_same_product(block, below[:3] @ below.T)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        themes=st.lists(
+            st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=12), min_size=1, max_size=8
+        ),
+        sentences=st.lists(st.lists(st.sampled_from("abcdefgxyz"), max_size=10), max_size=10),
+        variant=st.sampled_from(["nonnegative", "epsilon_floor"]),
+    )
+    def test_queries_times_weights(self, themes, sentences, variant):
+        index = build_index([(f"T{i}", t) for i, t in enumerate(themes)], Bm25Params(idf_variant=variant))
+        queries = query_rows(index, *term_counts(sentences))
+        assert_same_product(lexrank._product(queries, index.weights), queries @ index.weights)
 
 
 class TestGraphMatchesRebuild:

@@ -18,6 +18,7 @@ from oracles import (
     stopword_regex_brute,
     tokenize_brute,
 )
+from themerank import textproc
 from themerank.textproc import (
     DEFAULT_ABBREVIATIONS,
     PreprocessConfig,
@@ -482,6 +483,19 @@ class TestFold:
         for c in sorted(letters):
             matched = set(re.findall(re.escape(c), word_chars, re.IGNORECASE))
             assert by_fold[fold(c)] == matched, c
+
+    @pytest.mark.parametrize("ch", list(map(chr, textproc._FOLD)))
+    def test_one_foldable_character_at_the_end_picks_the_fold_key(self, ch):
+        # the key is chosen once per text: one character that str.lower does
+        # not fold, last in a long ASCII text, inside a variant of a stopword,
+        # must still pick ``fold``. NFC replaces the last three before the
+        # choice, so for them the plain key is right
+        word = "x" + fold(ch)
+        text = "o prazo de recurso " * 4000 + "x" + ch
+        config = PreprocessConfig(stopwords=frozenset({word, "de"}), removal_patterns=())
+        expected = ignorecase_removal(text, frozenset({word, "de"}))
+        assert expected.endswith("recurso")
+        assert remove_noise(text, config) == expected
 
     def test_capital_sigma_at_a_word_end(self):
         # str.lower gives ς for a word-final Σ; re matches Σ to σ anywhere
